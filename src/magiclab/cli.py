@@ -42,6 +42,11 @@ TABLE1_EXPECTED = {
 }
 TABLE1_LONG_START = 24
 
+THREADS_HELP = (
+    "accepted for compatibility (at least 1); the search runs in one thread "
+    "and the value does not change the result"
+)
+
 
 class _UsageError(Exception):
     pass
@@ -333,14 +338,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--nondegenerate", action="store_true")
     p.add_argument("--all-dm", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--emit-dir", default=None)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("table1", help="reproduce the classification table")
     p.add_argument("range", help="e.g. 16..22 or a single order")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--allow-long", action="store_true")
     p.set_defaults(func=_cmd_table1)

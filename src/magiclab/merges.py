@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -254,8 +255,13 @@ def extend_by_w4(g: Graph, l: Labeling, a: int, b: int) -> tuple[Graph, Labeling
 BASE_ORDERS = (18, 20, 21, 23, 24, 25, 27, 30)
 
 
+_DEFAULT_BASE_CACHE = Path(__file__).resolve().parents[2] / "data" / "bases"
+
+
 def _base_cache_dir() -> Path:
-    return Path(os.environ.get("MAGICLAB_BASE_CACHE", "data/bases"))
+    """MAGICLAB_BASE_CACHE if set, else data/bases of the checkout, whatever
+    the working directory."""
+    return Path(os.environ.get("MAGICLAB_BASE_CACHE", _DEFAULT_BASE_CACHE))
 
 
 def _extensible_edge(g: Graph, l: Labeling) -> Optional[tuple[int, int]]:
@@ -305,7 +311,16 @@ def _load_base(order: int, skip: int = 0) -> tuple[Graph, Labeling]:
             "graph": json.loads(graph_to_json(g)),
             "labeling": json.loads(labeling_to_json(l)),
         }
-        path.write_text(json.dumps(payload))
+        # write beside the target and rename, so an interrupted run never
+        # leaves a truncated base behind
+        fd, tmp = tempfile.mkstemp(prefix=f".base_{order}.", suffix=".tmp", dir=cache)
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(json.dumps(payload))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return g, l
 
 

@@ -7,6 +7,13 @@ quotients correspond one-to-one with non-degenerate self-reverse labeling
 classes, so no isomorphism tests are needed for the labeling counts;
 canonical codes are used only to count the underlying graphs.
 
+Both label-graph searches (the quotient search here and the all-labelings
+search of small orders) complete one position at a time on one explicit
+stack.  Each position's chooser lists the subset-sum completions of that
+position, with a per-vertex balance look-ahead already applied to every
+candidate neighbor, so no completion is built only to be discarded.  The
+search runs in the calling thread; emission order is deterministic.
+
 Degenerate self-reverse classes exist only on wreath graphs (a vertex
 adjacent to a full pair forces twin pairs everywhere), where every circular
 magnitude arrangement is distance magic; they are generated in closed form
@@ -16,7 +23,6 @@ when non-degeneracy is not required.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Iterator, Optional
@@ -47,6 +53,9 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class SearchOptions:
+    """Search flags.  thread_budget (at least 1) is accepted for
+    compatibility; every search runs in the calling thread."""
+
     require_self_reverse: bool = True
     require_nondegenerate: bool = False
     require_connected: bool = True
@@ -97,6 +106,126 @@ def _deadline(opts: SearchOptions) -> Optional[float]:
     return None if opts.time_limit is None else time.monotonic() + opts.time_limit
 
 
+# -- backtracking shared by the label-graph searches ---------------------------
+
+
+def _bound_table(mags: list[int]) -> list[list[list[int]]]:
+    """table[p][q][c]: the sum of the c largest mags[r] with r > p, r != q.
+
+    With mags non-increasing by position and position p complete, this
+    bounds what c distinct future neighbors can add to vertex q's balance.
+    """
+    m = len(mags)
+    return [
+        [
+            [sum([x for r, x in enumerate(mags) if r > p and r != q][:c]) for c in range(5)]
+            for q in range(m)
+        ]
+        for p in range(m)
+    ]
+
+
+def _subset_choices(cand, vals, signs, skips, wants) -> list[tuple[int, tuple]]:
+    """Every way to pick candidates so that their signed values hit a target.
+
+    For each (tag, need, target) in wants, pick exactly need candidates,
+    each with one of its allowed signs, so that the sum of sign * value is
+    target; candidates whose skip flag is False must be picked.  Results are
+    (tag, ((candidate, sign), ...)) in depth-first order: candidates in list
+    order, each taken with its signs in order before it is left out.  Values
+    must be non-increasing in magnitude, which makes the prefix sums below
+    an upper bound on any need of the remaining values.
+    """
+    k = len(cand)
+    pre = [0]
+    for x in vals:
+        pre.append(pre[-1] + abs(x))
+    forced = [0] * (k + 1)  # candidates at or after ci that must be picked
+    for ci in range(k - 1, -1, -1):
+        forced[ci] = forced[ci + 1] + (not skips[ci])
+    out: list[tuple[int, tuple]] = []
+    picks: list[tuple[int, int]] = []
+
+    def pick(ci: int, need: int, target: int):
+        if need == 0:
+            if target == 0 and forced[ci] == 0:
+                out.append((tag, tuple(picks)))
+            return
+        if k - ci < need or forced[ci] > need:
+            return
+        if need == 1:
+            # the last pick: one scan, leaving out everything else
+            for cj in range(ci, k):
+                if forced[cj + 1] == 0:
+                    b = vals[cj]
+                    for sig in signs[cj]:
+                        if sig * b == target:
+                            out.append((tag, (*picks, (cand[cj], sig))))
+                if not skips[cj]:
+                    return
+            return
+        if abs(target) > pre[ci + need] - pre[ci]:
+            return
+        q, b = cand[ci], vals[ci]
+        for sig in signs[ci]:
+            picks.append((q, sig))
+            pick(ci + 1, need - 1, target - sig * b)
+            picks.pop()
+        if skips[ci]:
+            pick(ci + 1, need, target)
+
+    for tag, need, target in wants:
+        if need >= 0:
+            pick(0, need, target)
+    return out
+
+
+class _Backtracker:
+    """Depth-first search over positions 0..m-1 on one explicit stack.
+
+    Subclasses provide _choices(p), the list of ways to complete position p
+    given positions before it, plus _apply/_undo for one choice and
+    _snapshot for a complete assignment.  Nodes count chooser calls; the
+    deadline is checked once per node.
+    """
+
+    __slots__ = ("m", "deadline", "nodes")
+
+    def __init__(self, m: int, deadline: Optional[float]):
+        self.m = m
+        self.deadline = deadline
+        self.nodes = 0
+
+    def _expand(self, p: int) -> list:
+        self.nodes += 1
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise SearchTimeLimit
+        return self._choices(p)
+
+    def run(self) -> Iterator[LabelGraph]:
+        """Yield the label graph of every complete assignment, in search order."""
+        last = self.m - 1
+        choices: list[list] = [[] for _ in range(self.m)]
+        nxt = [0] * self.m
+        choices[0] = self._expand(0)
+        p = 0
+        while p >= 0:
+            i = nxt[p]
+            if i:
+                self._undo(p, *choices[p][i - 1])
+            if i == len(choices[p]):
+                p -= 1
+                continue
+            nxt[p] = i + 1
+            self._apply(p, *choices[p][i])
+            if p < last:
+                p += 1
+                choices[p] = self._expand(p)
+                nxt[p] = 0
+            else:
+                yield self._snapshot()
+
+
 # -- quotient-level stream ----------------------------------------------------
 
 
@@ -106,37 +235,36 @@ def _quotient_positions(n: int) -> list[int]:
     return [lab for lab in range(n - 1, stop, -2)]
 
 
-class _QuotientSearch:
+class _QuotientSearch(_Backtracker):
     """Backtracking state for one order.
 
     Positions 0..m-1 hold the non-central labels in decreasing order; the
     virtual position m is the central vertex of odd orders.  Vertices are
     completed in position order, so every edge is decided at its
     larger-labeled endpoint and the largest labels fail first.
+
+    Once position p is complete, a later vertex q with c open edge slots and
+    partial balance b can still balance only if |b| is at most the sum of
+    the c largest labels after p other than its own (its future neighbors
+    are distinct), or, spending one slot on the semiedge, |label(q) - b| is
+    at most the sum of the c - 1 largest.  The test is per vertex, so the
+    chooser applies it to each candidate neighbor, picked with either sign
+    or left out, before combining them: it returns exactly the choices after
+    which every later vertex passes, in subset-sum enumeration order.
     """
 
-    __slots__ = (
-        "n", "labs", "m", "central", "deg", "ssum", "semi",
-        "edges", "deadline", "nodes",
-    )
+    __slots__ = ("n", "labs", "central", "deg", "ssum", "semi", "edges", "bound")
 
     def __init__(self, n: int, deadline: Optional[float] = None):
         self.n = n
         self.labs = _quotient_positions(n)
-        self.m = len(self.labs)
+        super().__init__(len(self.labs), deadline)
         self.central = n % 2 == 1
         self.deg = [0] * (self.m + 1)
         self.ssum = [0] * self.m
         self.semi = [False] * self.m
         self.edges: list[tuple[int, int, int]] = []
-        self.deadline = deadline
-        self.nodes = 0
-
-    def _tick(self):
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 2048 == 0:
-            if time.monotonic() > self.deadline:
-                raise SearchTimeLimit
+        self.bound = _bound_table(self.labs)
 
     def _snapshot(self) -> LabelGraph:
         labs = self.labs
@@ -159,21 +287,6 @@ class _QuotientSearch:
                 lg_edges.append((labs[p], -labs[p]))
         return LabelGraph(self.n, lg_edges)
 
-    def top_level_choices(self) -> list:
-        """All complete configurations of position 0, in search order."""
-        return [(s, tuple(picks)) for s, picks in self._vertex_choices(0)]
-
-    def run(self, start_prefix=None) -> Iterator[LabelGraph]:
-        """Yield every valid quotient's label graph, optionally below one
-        top-level prefix as produced by top_level_choices()."""
-        if start_prefix is None:
-            yield from self._fill(0)
-            return
-        s, picks = start_prefix
-        self._apply(0, s, picks)
-        yield from self._fill(1)
-        self._undo(0, s, picks)
-
     def _apply(self, p: int, s: int, picks):
         self.semi[p] = bool(s)
         a = self.labs[p]
@@ -192,79 +305,44 @@ class _QuotientSearch:
             if q < self.m:
                 self.ssum[q] -= sig * a
 
-    def _vertex_choices(self, p: int):
-        """All (semiedge flag, edge picks) pairs completing position p.
-
-        Yields a live list that is stable until the generator is resumed;
-        callers snapshot or fully consume each choice before advancing.
-        """
-        labs, m, deg = self.labs, self.m, self.deg
+    def _choices(self, p: int) -> list[tuple[int, tuple]]:
+        """All (semiedge flag, edge picks) pairs completing position p that
+        leave every later vertex able to balance, in search order."""
+        labs, m, deg, ssum = self.labs, self.m, self.deg, self.ssum
         a = labs[p]
-        cands = [q for q in range(p + 1, m) if deg[q] < 4]
-        if self.central and deg[m] < 2:
-            cands.append(m)
-        mags = [labs[q] if q < m else 0 for q in cands]
-        pre = [0]
-        for x in mags:
-            pre.append(pre[-1] + x)
-        k = len(cands)
-        picks: list[tuple[int, int]] = []
-
-        def pick(ci: int, need: int, target: int):
-            self._tick()
-            if need == 0:
-                if target == 0:
-                    yield picks
-                return
-            if k - ci < need:
-                return
-            if abs(target) > pre[ci + need] - pre[ci]:
-                return
-            q = cands[ci]
-            b = mags[ci]
-            if q < m:
-                picks.append((q, 1))
-                yield from pick(ci + 1, need - 1, target - b)
-                picks[-1] = (q, -1)
-                yield from pick(ci + 1, need - 1, target + b)
-                picks.pop()
-            else:
-                picks.append((q, 1))
-                yield from pick(ci + 1, need - 1, target)
-                picks.pop()
-            yield from pick(ci + 1, need, target)
-
-        for s in (0, 1):
-            need = 4 - s - deg[p]
-            if need < 0:
-                continue
-            yield from ((s, chosen) for chosen in pick(0, need, s * a - self.ssum[p]))
-
-    def _future_ok(self, p: int) -> bool:
-        """Cheap look-ahead: every later vertex can still reach balance."""
-        labs, deg, ssum, m = self.labs, self.deg, self.ssum, self.m
-        nxt = labs[p + 1] if p + 1 < m else 0
+        bounds = self.bound[p]
+        cand: list[int] = []
+        vals: list[int] = []
+        signs: list[tuple[int, ...]] = []
+        skips: list[bool] = []
         for q in range(p + 1, m):
             cap = 4 - deg[q]
-            b = ssum[q]
-            if abs(b) <= cap * nxt:
+            if cap == 0:
                 continue
-            if cap >= 1 and abs(labs[q] - b) <= (cap - 1) * nxt:
-                continue
-            return False
-        return True
-
-    def _fill(self, p: int) -> Iterator[LabelGraph]:
-        if p == self.m:
-            if self.central and self.deg[self.m] != 2:
-                return
-            yield self._snapshot()
-            return
-        for s, picks in self._vertex_choices(p):
-            self._apply(p, s, picks)
-            if self._future_ok(p):
-                yield from self._fill(p + 1)
-            self._undo(p, s, picks)
+            lab, b, bound = labs[q], ssum[q], bounds[q]
+            skip = abs(b) <= bound[cap] or abs(lab - b) <= bound[cap - 1]
+            c = cap - 1
+            plus = abs(b + a) <= bound[c] or (c > 0 and abs(lab - b - a) <= bound[c - 1])
+            minus = abs(b - a) <= bound[c] or (c > 0 and abs(lab - b + a) <= bound[c - 1])
+            if plus or minus:
+                cand.append(q)
+                vals.append(lab)
+                signs.append((1, -1) if plus and minus else (1,) if plus else (-1,))
+                skips.append(skip)
+            elif not skip:
+                return []
+        if self.central and deg[m] < 2:
+            # the central vertex needs 2 - deg[m] more edges, at most one
+            # from each remaining position
+            short = 2 - deg[m] - (m - p - 1)
+            if short > 1:
+                return []
+            cand.append(m)
+            vals.append(0)
+            signs.append((1,))
+            skips.append(short <= 0)
+        wants = [(s, 4 - s - deg[p], s * a - ssum[p]) for s in (0, 1)]
+        return _subset_choices(cand, vals, signs, skips, wants)
 
 
 def _verify_emission(g: Graph, l: Labeling, opts: SearchOptions) -> bool:
@@ -363,8 +441,10 @@ def enumerate_sr(
 
     Returns one verified (Graph, Labeling) representative per distinct
     LabelGraph, sorted by label-graph encoding, plus the report.  The search
-    below the first quotient vertex is split into independent tasks executed
-    on opts.thread_budget workers; the merge is order-independent.
+    runs in the calling thread; opts.thread_budget is accepted for
+    compatibility and does not change the work or the result.  When the
+    time limit passes, the classes found so far are returned and the report
+    is marked incomplete.
     """
     if n < 5:
         raise SearchError("self-reverse enumeration needs order >= 5")
@@ -374,26 +454,9 @@ def enumerate_sr(
     label_graphs: list[LabelGraph] = []
 
     try:
-        tasks = _QuotientSearch(n, deadline).top_level_choices()
+        label_graphs.extend(_QuotientSearch(n, deadline).run())
     except SearchTimeLimit:
-        tasks = []
         complete = False
-
-    def run_task(prefix):
-        worker = _QuotientSearch(n, deadline)
-        return list(worker.run(prefix))
-
-    if complete:
-        try:
-            if opts.thread_budget == 1:
-                for prefix in tasks:
-                    label_graphs.extend(run_task(prefix))
-            else:
-                with ThreadPoolExecutor(max_workers=opts.thread_budget) as pool:
-                    for chunk in pool.map(run_task, tasks):
-                        label_graphs.extend(chunk)
-        except SearchTimeLimit:
-            complete = False
 
     if not opts.require_nondegenerate and complete:
         label_graphs.extend(_degenerate_wreath_label_graphs(n))
@@ -425,88 +488,65 @@ def enumerate_sr(
 # -- all distance magic label graphs of small orders --------------------------
 
 
-class _DMSearch:
+class _DMSearch(_Backtracker):
     """Backtracking over zero-sum 4-regular graphs on the label set itself.
 
     Labels are completed in decreasing magnitude order, positive before
     negative; each label picks its remaining neighbors among later labels,
-    hitting a zero neighbor sum exactly.
+    hitting a zero neighbor sum exactly.  The chooser keeps only picks after
+    which every later label q with c open slots has |partial sum| at most
+    the c largest later magnitudes other than its own.
     """
 
-    __slots__ = ("n", "labs", "m", "deg", "ssum", "adj", "deadline", "nodes")
+    __slots__ = ("n", "labs", "deg", "ssum", "edges", "bound")
 
     def __init__(self, n: int, deadline: Optional[float] = None):
         self.n = n
         self.labs = sorted(label_set(n), key=lambda x: (-abs(x), x < 0))
-        self.m = len(self.labs)
+        super().__init__(len(self.labs), deadline)
         self.deg = [0] * self.m
         self.ssum = [0] * self.m
-        self.adj: list[list[int]] = [[] for _ in range(self.m)]
-        self.deadline = deadline
-        self.nodes = 0
+        self.edges: list[tuple[int, int]] = []
+        self.bound = _bound_table([abs(x) for x in self.labs])
 
-    def _tick(self):
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 4096 == 0:
-            if time.monotonic() > self.deadline:
-                raise SearchTimeLimit
+    def _snapshot(self) -> LabelGraph:
+        return LabelGraph(self.n, self.edges)
 
-    def run(self) -> Iterator[LabelGraph]:
-        yield from self._fill(0)
+    def _apply(self, p: int, _tag: int, picks):
+        a = self.labs[p]
+        for q, _ in picks:
+            self.deg[q] += 1
+            self.ssum[q] += a
+            self.edges.append((a, self.labs[q]))
 
-    def _future_ok(self, p: int) -> bool:
-        labs, deg, ssum, m = self.labs, self.deg, self.ssum, self.m
-        nxt = abs(labs[p + 1]) if p + 1 < m else 0
-        for q in range(p + 1, m):
-            if abs(ssum[q]) > (4 - deg[q]) * nxt:
-                return False
-        return True
+    def _undo(self, p: int, _tag: int, picks):
+        a = self.labs[p]
+        for q, _ in picks:
+            self.deg[q] -= 1
+            self.ssum[q] -= a
+            self.edges.pop()
 
-    def _fill(self, p: int) -> Iterator[LabelGraph]:
-        if p == self.m:
-            labs = self.labs
-            edges = [
-                (labs[u], labs[v])
-                for u in range(self.m)
-                for v in self.adj[u]
-                if u < v
-            ]
-            yield LabelGraph(self.n, edges)
-            return
-        labs, deg = self.labs, self.deg
-        cands = [q for q in range(p + 1, self.m) if deg[q] < 4]
-        mags = [abs(labs[q]) for q in cands]
-        pre = [0]
-        for x in mags:
-            pre.append(pre[-1] + x)
-        k = len(cands)
-
-        def pick(ci: int, need: int, target: int):
-            self._tick()
-            if need == 0:
-                if target == 0:
-                    yield True
-                return
-            if k - ci < need:
-                return
-            if abs(target) > pre[ci + need] - pre[ci]:
-                return
-            q = cands[ci]
-            b = labs[q]
-            deg[q] += 1
-            self.ssum[q] += labs[p]
-            self.adj[p].append(q)
-            self.adj[q].append(p)
-            yield from pick(ci + 1, need - 1, target - b)
-            self.adj[p].pop()
-            self.adj[q].pop()
-            self.ssum[q] -= labs[p]
-            deg[q] -= 1
-            yield from pick(ci + 1, need, target)
-
-        for _ in pick(0, 4 - deg[p], -self.ssum[p]):
-            if self._future_ok(p):
-                yield from self._fill(p + 1)
+    def _choices(self, p: int) -> list[tuple[int, tuple]]:
+        labs, deg, ssum = self.labs, self.deg, self.ssum
+        a = labs[p]
+        bounds = self.bound[p]
+        cand: list[int] = []
+        vals: list[int] = []
+        skips: list[bool] = []
+        for q in range(p + 1, self.m):
+            cap = 4 - deg[q]
+            if cap == 0:
+                continue
+            b, bound = ssum[q], bounds[q]
+            skip = abs(b) <= bound[cap]
+            if abs(b + a) <= bound[cap - 1]:
+                cand.append(q)
+                vals.append(labs[q])
+                skips.append(skip)
+            elif not skip:
+                return []
+        signs = [(1,)] * len(cand)
+        return _subset_choices(cand, vals, signs, skips, [(0, 4 - deg[p], -ssum[p])])
 
 
 def enumerate_dm(

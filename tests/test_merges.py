@@ -1,3 +1,8 @@
+import hashlib
+import json
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,13 +12,23 @@ from magiclab.families import (
     wreath_natural_labeling,
     wreath_nondegenerate_labeling,
 )
-from magiclab.graphs import Graph, are_isomorphic, canonical_code, connected_components
+from magiclab.graphs import (
+    Graph,
+    are_isomorphic,
+    canonical_code,
+    connected_components,
+    graph_to_json,
+)
 from magiclab.labelings import (
     is_degenerate,
     is_distance_magic,
     is_self_reverse,
+    label_graph,
+    label_graph_to_json,
+    labeling_to_json,
 )
 from magiclab.merges import (
+    BASE_ORDERS,
     Cyclet,
     MergeError,
     align_cyclets,
@@ -26,9 +41,12 @@ from magiclab.merges import (
     witness,
     witness_non_wreath,
     witness_nondegenerate,
+    _find_base,
 )
 from magiclab.quotients import SOLID, quotient
-from magiclab.search import SearchOptions, enumerate_dm
+from magiclab.search import SearchOptions, enumerate_dm, iter_sr_pairs
+
+COMMITTED_BASES = Path(__file__).resolve().parents[1] / "data" / "bases"
 
 
 def w4_pair():
@@ -323,3 +341,52 @@ class TestMergeIdentitiesAgainstEnumeration:
         }
         assert len(nonwreath) == 1
         assert canonical_code(merged) in nonwreath
+
+
+class TestEmissionOrder:
+    """The search's emission order is part of its output: the first
+    extensible instance of each order is a cached witness base.  Sorted-set
+    checks cannot see a reordering; these can."""
+
+    @pytest.mark.parametrize("order", BASE_ORDERS)
+    def test_find_base_matches_committed_base(self, order):
+        g, l = _find_base(order)
+        got = {
+            "graph": json.loads(graph_to_json(g)),
+            "labeling": json.loads(labeling_to_json(l)),
+        }
+        committed = json.loads((COMMITTED_BASES / f"base_{order}.json").read_text())
+        assert got == committed
+
+    # sha256 over label_graph_to_json of each emitted pair, one per line, in
+    # emission order
+    STREAM_DIGESTS = {
+        16: "290fca3643734bbf2b0527946fd12935a3956b562b5152592622d5114e81e40c",
+        18: "1655a393930bc46acaa21238d2ac84ae09071473ed12a42c6b13c223470f45bf",
+        20: "ae107d41e16336e6c89cb628bc002ec30edfe7df07058c6762c0a6fbeefc0445",
+    }
+
+    @pytest.mark.parametrize("n", sorted(STREAM_DIGESTS))
+    def test_nondegenerate_stream_digest(self, n):
+        h = hashlib.sha256()
+        for g, l in iter_sr_pairs(n, SearchOptions(require_nondegenerate=True)):
+            h.update(label_graph_to_json(label_graph(g, l)).encode() + b"\n")
+        assert h.hexdigest() == self.STREAM_DIGESTS[n]
+
+
+class TestBaseCache:
+    def test_default_cache_ignores_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("MAGICLAB_BASE_CACHE", raising=False)
+        g, l = witness(21)
+        assert g.n == 21 and is_self_reverse(g, l)
+        assert not (tmp_path / "data").exists()
+
+    def test_cold_build_leaves_only_bases(self, tmp_path, monkeypatch):
+        cache = tmp_path / "bases"
+        monkeypatch.setenv("MAGICLAB_BASE_CACHE", str(cache))
+        witness(21)
+        assert sorted(os.listdir(cache)) == ["base_21.json"]
+        assert json.loads((cache / "base_21.json").read_text()) == json.loads(
+            (COMMITTED_BASES / "base_21.json").read_text()
+        )

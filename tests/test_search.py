@@ -190,6 +190,7 @@ class TestTimeLimit:
     def test_partial_report_flagged(self):
         _, rep = enumerate_sr(22, SearchOptions(require_nondegenerate=True, time_limit=0.05))
         assert not rep.complete
+        assert rep.elapsed < 1.0
 
     def test_bad_options(self):
         with pytest.raises(SearchError):
