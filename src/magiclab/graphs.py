@@ -15,6 +15,7 @@ are semantically transparent.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from typing import Iterable, Sequence
@@ -303,35 +304,27 @@ def _initial_cells(sizes: Sequence[int]) -> list[list[int]]:
     return [by_size[s] for s in sorted(by_size)]
 
 
-_canon_cache: dict[Graph, tuple] = {}
-
-
+@lru_cache(maxsize=4096)
 def _canonical_data(g: Graph):
     """(code bytes, reduced neighbors, sizes, classes, canonical leaf orders).
 
-    Cached per graph value; all consumers below share this computation.
+    Cached per graph value, least recently used first out; all consumers
+    below share this computation.
     """
-    cached = _canon_cache.get(g)
-    if cached is not None:
-        return cached
     if g.n > MAX_CANONICAL_ORDER:
         raise GraphError(
             f"order {g.n} exceeds the canonical-form limit {MAX_CANONICAL_ORDER}"
         )
     reduced, sizes, classes = _reduce_twins(g)
     if not reduced:
-        data = (bytes([0, 0]), reduced, sizes, classes, [[]])
-        _canon_cache[g] = data
-        return data
+        return (bytes([0, 0]), reduced, sizes, classes, [[]])
     enc, orders = _ir_leaves(reduced, _initial_cells(sizes))
     k = len(reduced)
     order0 = orders[0]
     head = bytes([g.n, k]) + bytes(sizes[v] for v in order0)
     rowbytes = (k + 7) // 8
     body = b"".join(row.to_bytes(rowbytes, "big") for row in enc)
-    data = (head + body, reduced, sizes, classes, orders)
-    _canon_cache[g] = data
-    return data
+    return (head + body, reduced, sizes, classes, orders)
 
 
 def canonical_code(g: Graph) -> bytes:

@@ -11,7 +11,8 @@ symmetry conditions on the cyclets keep the result self-reverse.
 Witness construction grows graphs in steps of 8 by repeatedly merging in
 the 8-vertex complete-bipartite block along a quotient edge whose labels
 differ by 4.  Base instances are found by the enumerator with an
-extensible-edge filter and cached on disk.
+extensible-edge filter and cached on disk; a cached base that does not
+parse or lacks one of those properties is rebuilt.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -294,16 +296,34 @@ def _find_base(order: int, skip: int = 0) -> tuple[Graph, Labeling]:
     raise MergeError(f"no extensible base instance exists at order {order}")
 
 
+@lru_cache(maxsize=len(BASE_ORDERS))
+def _parse_base(text: str, order: int) -> Optional[tuple[Graph, Labeling]]:
+    """The pair a base file's text holds, or None when the text does not
+    parse or the pair lacks a property _find_base selects for.  Memoized on
+    the text, so repeated loads of an unchanged file are checked once."""
+    try:
+        data = json.loads(text)
+        g = graph_from_json(json.dumps(data["graph"]))
+        l = labeling_from_json(json.dumps(data["labeling"]))
+        _verified(g, l, nondegenerate=True, non_wreath=True)
+    except (ValueError, KeyError, TypeError):
+        return None
+    if g.n != order or _extensible_edge(g, l) is None:
+        return None
+    return g, l
+
+
 def _load_base(order: int, skip: int = 0) -> tuple[Graph, Labeling]:
+    """The skip-th base of the order; the first one is read from the cache
+    when it holds a valid base, else rebuilt and written back."""
     if order not in BASE_ORDERS:
         raise MergeError(f"no base is defined for order {order}")
     cache = _base_cache_dir()
     path = cache / f"base_{order}.json"
     if skip == 0 and path.exists():
-        data = json.loads(path.read_text())
-        return graph_from_json(json.dumps(data["graph"])), labeling_from_json(
-            json.dumps(data["labeling"])
-        )
+        base = _parse_base(path.read_text(), order)
+        if base is not None:
+            return base
     g, l = _find_base(order, skip)
     if skip == 0:
         cache.mkdir(parents=True, exist_ok=True)

@@ -7,12 +7,14 @@ quotients correspond one-to-one with non-degenerate self-reverse labeling
 classes, so no isomorphism tests are needed for the labeling counts;
 canonical codes are used only to count the underlying graphs.
 
-Both label-graph searches (the quotient search here and the all-labelings
-search of small orders) complete one position at a time on one explicit
-stack.  Each position's chooser lists the subset-sum completions of that
-position, with a per-vertex balance look-ahead already applied to every
-candidate neighbor, so no completion is built only to be discarded.  The
-search runs in the calling thread; emission order is deterministic.
+One engine, _Backtracker, drives all four searches: the quotient search, the
+all-labelings search of small orders, and on a fixed graph the search per
+partner involution and the direct label placement.  Each completes one
+position at a time on one explicit stack, and each position's chooser tests
+every candidate against the balance look-ahead before returning it, so no
+choice is applied only to be undone.  The searches run in the calling thread;
+emission order is deterministic.  Both enumerators pass their streams through
+one dedupe, verify, sort and classify step.
 
 Degenerate self-reverse classes exist only on wreath graphs (a vertex
 adjacent to a full pair forces twin pairs everywhere), where every circular
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterator, Optional
 
 from . import graphs as _graphs
@@ -202,8 +204,8 @@ class _Backtracker:
             raise SearchTimeLimit
         return self._choices(p)
 
-    def run(self) -> Iterator[LabelGraph]:
-        """Yield the label graph of every complete assignment, in search order."""
+    def run(self) -> Iterator:
+        """Yield the snapshot of every complete assignment, in search order."""
         last = self.m - 1
         choices: list[list] = [[] for _ in range(self.m)]
         nxt = [0] * self.m
@@ -212,12 +214,12 @@ class _Backtracker:
         while p >= 0:
             i = nxt[p]
             if i:
-                self._undo(p, *choices[p][i - 1])
+                self._undo(p, choices[p][i - 1])
             if i == len(choices[p]):
                 p -= 1
                 continue
             nxt[p] = i + 1
-            self._apply(p, *choices[p][i])
+            self._apply(p, choices[p][i])
             if p < last:
                 p += 1
                 choices[p] = self._expand(p)
@@ -287,7 +289,8 @@ class _QuotientSearch(_Backtracker):
                 lg_edges.append((labs[p], -labs[p]))
         return LabelGraph(self.n, lg_edges)
 
-    def _apply(self, p: int, s: int, picks):
+    def _apply(self, p: int, choice):
+        s, picks = choice
         self.semi[p] = bool(s)
         a = self.labs[p]
         for q, sig in picks:
@@ -296,10 +299,10 @@ class _QuotientSearch(_Backtracker):
             if q < self.m:
                 self.ssum[q] += sig * a
 
-    def _undo(self, p: int, s: int, picks):
+    def _undo(self, p: int, choice):
         self.semi[p] = False
         a = self.labs[p]
-        for q, sig in picks:
+        for q, sig in choice[1]:
             self.deg[q] -= 1
             self.edges.pop()
             if q < self.m:
@@ -345,16 +348,8 @@ class _QuotientSearch(_Backtracker):
         return _subset_choices(cand, vals, signs, skips, wants)
 
 
-def _verify_emission(g: Graph, l: Labeling, opts: SearchOptions) -> bool:
-    """Re-check every required property through the labeling predicates.
-
-    Search state is never trusted: emissions must independently pass the
-    public predicates.
-    """
-    if not g.is_regular(4):
-        return False
-    if opts.require_connected and not g.is_connected():
-        return False
+def _labeling_ok(g: Graph, l: Labeling, opts: SearchOptions) -> bool:
+    """Whether l is distance magic on g with the flagged symmetry properties."""
     if not is_distance_magic(g, l):
         return False
     if opts.require_self_reverse and not is_self_reverse(g, l):
@@ -362,6 +357,18 @@ def _verify_emission(g: Graph, l: Labeling, opts: SearchOptions) -> bool:
     if opts.require_nondegenerate and is_degenerate(g, l):
         return False
     return True
+
+
+def _verify_emission(g: Graph, l: Labeling, opts: SearchOptions) -> bool:
+    """Re-check every required property through the public predicates.
+
+    Search state is never trusted: emissions must independently pass them.
+    """
+    if not g.is_regular(4):
+        return False
+    if opts.require_connected and not g.is_connected():
+        return False
+    return _labeling_ok(g, l, opts)
 
 
 def _degenerate_wreath_label_graphs(n: int) -> list[LabelGraph]:
@@ -398,6 +405,18 @@ def _degenerate_wreath_label_graphs(n: int) -> list[LabelGraph]:
     return out
 
 
+def _sr_label_graphs(n: int, opts: SearchOptions) -> Iterator[LabelGraph]:
+    """Unverified self-reverse label graphs of order n: the quotient stream,
+    then (when allowed) the closed-form degenerate classes."""
+    if n < 5:
+        raise SearchError("self-reverse enumeration needs order >= 5")
+    if not opts.require_self_reverse:
+        raise SearchError("self-reverse enumeration requires the self-reverse flag")
+    yield from _QuotientSearch(n, _deadline(opts)).run()
+    if not opts.require_nondegenerate:
+        yield from _degenerate_wreath_label_graphs(n)
+
+
 def iter_sr_pairs(
     n: int, opts: SearchOptions = SearchOptions()
 ) -> Iterator[tuple[Graph, Labeling]]:
@@ -407,21 +426,10 @@ def iter_sr_pairs(
     enumerate_sr for the sorted, counted form.  Degenerate classes (when
     allowed) follow the quotient-level stream.
     """
-    if n < 5:
-        raise SearchError("self-reverse enumeration needs order >= 5")
-    if not opts.require_self_reverse:
-        raise SearchError("iter_sr_pairs requires the self-reverse flag")
-    deadline = _deadline(opts)
-    search = _QuotientSearch(n, deadline)
-    for lg in search.run():
+    for lg in _sr_label_graphs(n, opts):
         g, l = lg.to_graph()
         if _verify_emission(g, l, opts):
             yield g, l
-    if not opts.require_nondegenerate:
-        for lg in _degenerate_wreath_label_graphs(n):
-            g, l = lg.to_graph()
-            if _verify_emission(g, l, opts):
-                yield g, l
 
 
 def _classify(pairs: list[tuple[Graph, Labeling]]) -> tuple[int, int]:
@@ -431,6 +439,41 @@ def _classify(pairs: list[tuple[Graph, Labeling]]) -> tuple[int, int]:
         codes.setdefault(canonical_code(g), g)
     vt = sum(1 for g in codes.values() if is_vertex_transitive(g))
     return len(codes), vt
+
+
+def _collect(
+    n: int, stream: Iterator[LabelGraph], opts: SearchOptions
+) -> tuple[list[tuple[Graph, Labeling]], EnumerationReport]:
+    """One verified pair per distinct label graph of the stream, sorted by
+    label-graph encoding, plus the report.  When the time limit passes, the
+    classes found so far are kept and the report is marked incomplete."""
+    start = time.monotonic()
+    complete = True
+    seen: set[LabelGraph] = set()
+    keyed = []
+    try:
+        for lg in stream:
+            if lg in seen:
+                continue
+            seen.add(lg)
+            g, l = lg.to_graph()
+            if _verify_emission(g, l, opts):
+                keyed.append((lg.sort_key(), g, l))
+    except SearchTimeLimit:
+        complete = False
+    keyed.sort(key=lambda t: t[0])
+    result = [(g, l) for _, g, l in keyed]
+    iso, vt = _classify(result)
+    report = EnumerationReport(
+        order=n,
+        sr_count=len(result),
+        iso_class_count=iso,
+        vt_count=vt,
+        complete=complete,
+        elapsed=time.monotonic() - start,
+        options=opts,
+    )
+    return result, report
 
 
 def enumerate_sr(
@@ -446,43 +489,7 @@ def enumerate_sr(
     time limit passes, the classes found so far are returned and the report
     is marked incomplete.
     """
-    if n < 5:
-        raise SearchError("self-reverse enumeration needs order >= 5")
-    start = time.monotonic()
-    deadline = _deadline(opts)
-    complete = True
-    label_graphs: list[LabelGraph] = []
-
-    try:
-        label_graphs.extend(_QuotientSearch(n, deadline).run())
-    except SearchTimeLimit:
-        complete = False
-
-    if not opts.require_nondegenerate and complete:
-        label_graphs.extend(_degenerate_wreath_label_graphs(n))
-
-    keyed = []
-    seen: set[LabelGraph] = set()
-    for lg in label_graphs:
-        if lg in seen:
-            continue
-        seen.add(lg)
-        g, l = lg.to_graph()
-        if _verify_emission(g, l, opts):
-            keyed.append((lg.sort_key(), g, l))
-    keyed.sort(key=lambda t: t[0])
-    result = [(g, l) for _, g, l in keyed]
-    iso, vt = _classify(result)
-    report = EnumerationReport(
-        order=n,
-        sr_count=len(result),
-        iso_class_count=iso,
-        vt_count=vt,
-        complete=complete,
-        elapsed=time.monotonic() - start,
-        options=opts,
-    )
-    return result, report
+    return _collect(n, _sr_label_graphs(n, opts), opts)
 
 
 # -- all distance magic label graphs of small orders --------------------------
@@ -512,16 +519,16 @@ class _DMSearch(_Backtracker):
     def _snapshot(self) -> LabelGraph:
         return LabelGraph(self.n, self.edges)
 
-    def _apply(self, p: int, _tag: int, picks):
+    def _apply(self, p: int, choice):
         a = self.labs[p]
-        for q, _ in picks:
+        for q, _ in choice[1]:
             self.deg[q] += 1
             self.ssum[q] += a
             self.edges.append((a, self.labs[q]))
 
-    def _undo(self, p: int, _tag: int, picks):
+    def _undo(self, p: int, choice):
         a = self.labs[p]
-        for q, _ in picks:
+        for q, _ in choice[1]:
             self.deg[q] -= 1
             self.ssum[q] -= a
             self.edges.pop()
@@ -561,31 +568,7 @@ def enumerate_dm(
         raise SearchError("enumeration needs order >= 5")
     if opts.require_self_reverse:
         raise SearchError("enumerate_dm runs without the self-reverse flag")
-    start = time.monotonic()
-    deadline = _deadline(opts)
-    search = _DMSearch(n, deadline)
-    complete = True
-    keyed = []
-    try:
-        for lg in search.run():
-            g, l = lg.to_graph()
-            if _verify_emission(g, l, opts):
-                keyed.append((lg.sort_key(), g, l))
-    except SearchTimeLimit:
-        complete = False
-    keyed.sort(key=lambda t: t[0])
-    result = [(g, l) for _, g, l in keyed]
-    iso, vt = _classify(result)
-    report = EnumerationReport(
-        order=n,
-        sr_count=len(result),
-        iso_class_count=iso,
-        vt_count=vt,
-        complete=complete,
-        elapsed=time.monotonic() - start,
-        options=opts,
-    )
-    return result, report
+    return _collect(n, _DMSearch(n, _deadline(opts)).run(), opts)
 
 
 # -- labelings of a fixed graph ------------------------------------------------
@@ -603,185 +586,178 @@ def _involutions_with_pairing(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def _sr_labelings_for_involution(g: Graph, sigma, deadline, emit) -> None:
-    """All distance magic labelings whose partner map is sigma.
+class _InvolutionSearch(_Backtracker):
+    """All distance magic labelings of g whose partner map is sigma.
 
-    Cells are the sigma-orbits; each cell takes a magnitude and an
-    orientation.  A neighbor cell joined by a straight matching contributes
-    its oriented magnitude, a crossed matching the negation, a full block or
-    the central cell nothing; a cell adjacent to its own partner needs its
-    oriented magnitude back (the semiedge).  The global reversal is killed
-    by pinning the first assigned orientation.
+    Cells are the sigma-orbits; each position gives one cell a magnitude and
+    an orientation.  A neighbor cell joined by a straight matching
+    contributes its oriented magnitude, a crossed matching the negation; a
+    full block or the central cell contributes nothing and is left out of
+    the neighbor lists.  A cell adjacent to its own partner needs its
+    oriented magnitude back (the semiedge).  Each position takes the
+    unassigned cell with the most assigned neighbors, lowest index first.
+    A candidate is kept when, with every open neighbor taking at most the
+    largest free magnitude, the cell and each of its neighbors can still
+    balance; signed balances are kept current on apply and undo.  The
+    global reversal is killed by pinning the first orientation.
     """
-    n = g.n
-    cells: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    central_cell = -1
-    for v in range(n):
-        if v in seen:
-            continue
-        w = sigma[v]
-        seen.update((v, w))
-        if w == v:
-            central_cell = len(cells)
-            cells.append((v,))
-        else:
-            cells.append((v, w))
-    k = len(cells)
-    cell_of = [0] * n
-    for i, cell in enumerate(cells):
-        for v in cell:
-            cell_of[v] = i
 
-    neigh: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    semi = [False] * k
-    for i, cell in enumerate(cells):
-        u = cell[0]
-        hits: dict[int, list[int]] = {}
-        for x in g.neighbors[u]:
-            hits.setdefault(cell_of[x], []).append(x)
-        for j, members in hits.items():
-            if j == i:
-                semi[i] = True
-                continue
-            if len(members) == 2 or len(cells[j]) == 1:
-                t = 0
+    __slots__ = (
+        "n", "cells", "neigh", "semi", "mags", "used",
+        "mag", "orient", "assigned", "remaining", "bal",
+    )
+
+    def __init__(self, g: Graph, sigma, deadline: Optional[float] = None):
+        n = g.n
+        self.n = n
+        self.cells = [(v,) if sigma[v] == v else (v, sigma[v]) for v in range(n) if sigma[v] >= v]
+        k = len(self.cells)
+        cell_of = [0] * n
+        for i, cell in enumerate(self.cells):
+            for v in cell:
+                cell_of[v] = i
+        # neigh[i]: (j, t) for each cell j matched to cell i, t = +1 straight
+        # and -1 crossed
+        self.neigh: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+        self.semi = [False] * k
+        for i, cell in enumerate(self.cells):
+            hits: dict[int, list[int]] = {}
+            for x in g.neighbors[cell[0]]:
+                hits.setdefault(cell_of[x], []).append(x)
+            for j, members in hits.items():
+                if j == i:
+                    self.semi[i] = True
+                elif len(members) == 1 and len(self.cells[j]) == 2:
+                    self.neigh[i].append((j, 1 if members[0] == self.cells[j][0] else -1))
+        self.mags = [lab for lab in label_set(n) if lab > 0][::-1]
+        super().__init__(len(self.mags), deadline)
+        self.used = [False] * n
+        self.mag = [0] * k
+        self.orient = [0] * k
+        self.assigned = [len(cell) == 1 for cell in self.cells]
+        self.remaining = [len(nb) for nb in self.neigh]
+        self.bal = [0] * k
+
+    def _snapshot(self) -> Labeling:
+        labels = [0] * self.n
+        for i, cell in enumerate(self.cells):
+            if len(cell) == 2:
+                labels[cell[0]] = self.orient[i] * self.mag[i]
+                labels[cell[1]] = -self.orient[i] * self.mag[i]
+        return Labeling(labels)
+
+    def _apply(self, p: int, choice):
+        i, a, o = choice
+        self.assigned[i] = True
+        self.mag[i] = a
+        self.orient[i] = o
+        self.used[a] = True
+        for j, t in self.neigh[i]:
+            self.remaining[j] -= 1
+            self.bal[j] += t * o * a
+
+    def _undo(self, p: int, choice):
+        i, a, o = choice
+        self.assigned[i] = False
+        self.used[a] = False
+        for j, t in self.neigh[i]:
+            self.remaining[j] += 1
+            self.bal[j] -= t * o * a
+
+    def _choices(self, p: int) -> list[tuple[int, int, int]]:
+        """All (cell, magnitude, orientation) triples for position p after
+        which the cell and its neighbors can still balance, in search order."""
+        neigh, assigned, remaining = self.neigh, self.assigned, self.remaining
+        i = min(
+            (c for c in range(len(neigh)) if not assigned[c]),
+            key=lambda c: (remaining[c] - len(neigh[c]), c),
+        )
+        # once cell i takes the signed magnitude s, neighbor j with r open
+        # slots still balances iff |c0 - c1 * s| <= r * (largest free
+        # magnitude); an unassigned neighbor may spend a slot on its semiedge
+        nbrs = []
+        for j, t in neigh[i]:
+            if assigned[j]:
+                o = self.orient[j]
+                want = self.mag[j] if self.semi[j] else 0
+                nbrs.append((want - o * self.bal[j], o * t, remaining[j] - 1))
             else:
-                t = 1 if members[0] == cells[j][0] else -1
-            neigh[i].append((j, t))
-
-    mags = sorted((lab for lab in label_set(n) if lab > 0), reverse=True)
-    mag = [0] * k
-    orient = [0] * k
-    assigned = [False] * k
-    remaining = [sum(1 for _, t in nb if t != 0) for nb in neigh]
-    if central_cell >= 0:
-        assigned[central_cell] = True
-
-    nodes = [0]
-
-    def partial_balance(i: int) -> int:
-        total = 0
-        for j, t in neigh[i]:
-            if t != 0 and assigned[j] and j != central_cell:
-                total += t * orient[j] * mag[j]
-        return total
-
-    def cell_ok(i: int, next_mag: int) -> bool:
-        if i == central_cell:
-            return True
-        b = partial_balance(i)
-        if not assigned[i]:
-            cap = remaining[i] + (1 if semi[i] else 0)
-            return abs(b) <= cap * next_mag
-        want = mag[i] if semi[i] else 0
-        b *= orient[i]
-        if remaining[i] == 0:
-            return b == want
-        return abs(want - b) <= remaining[i] * next_mag
-
-    def choose_cell() -> int:
-        best, best_key = -1, None
-        for i in range(k):
-            if assigned[i]:
-                continue
-            done = sum(1 for j, t in neigh[i] if t != 0 and assigned[j])
-            key = (-done, i)
-            if best_key is None or key < best_key:
-                best, best_key = i, key
-        return best
-
-    avail = list(mags)  # unassigned magnitudes, descending
-
-    def rec(depth: int):
-        nodes[0] += 1
-        if deadline is not None and nodes[0] % 1024 == 0:
-            if time.monotonic() > deadline:
-                raise SearchTimeLimit
-        if depth == len(mags):
-            labels = [0] * n
-            for i, cell in enumerate(cells):
-                if len(cell) == 2:
-                    labels[cell[0]] = orient[i] * mag[i]
-                    labels[cell[1]] = -orient[i] * mag[i]
-            emit(Labeling(labels))
-            return
-        i = choose_cell()
-        for j, t in neigh[i]:
-            if t != 0:
-                remaining[j] -= 1
-        assigned[i] = True
-        for ai in range(len(avail)):
-            a = avail.pop(ai)
-            next_mag = avail[0] if avail else 0
-            mag[i] = a
-            for o in (1,) if depth == 0 else (1, -1):
-                orient[i] = o
-                if cell_ok(i, next_mag) and all(
-                    cell_ok(j, next_mag) for j, t in neigh[i] if t != 0
-                ):
-                    rec(depth + 1)
-            avail.insert(ai, a)
-        assigned[i] = False
-        mag[i] = 0
-        orient[i] = 0
-        for j, t in neigh[i]:
-            if t != 0:
-                remaining[j] += 1
-
-    rec(0)
+                nbrs.append((-self.bal[j], t, remaining[j] - 1 + self.semi[j]))
+        bal, r, semi = self.bal[i], remaining[i], self.semi[i]
+        avail = [a for a in self.mags if not self.used[a]] + [0]
+        out = []
+        for ai in range(len(avail) - 1):
+            a = avail[ai]
+            nxt = avail[1] if ai == 0 else avail[0]  # the largest left after a
+            for o in (1,) if p == 0 else (1, -1):
+                if abs((a if semi else 0) - o * bal) > r * nxt:
+                    continue
+                s = o * a
+                for c0, c1, rj in nbrs:
+                    if abs(c0 - c1 * s) > rj * nxt:
+                        break
+                else:
+                    out.append((i, a, o))
+        return out
 
 
-def _dm_labelings_fixed_graph(g: Graph, deadline, emit) -> None:
-    """All distance magic labelings of g by direct backtracking.
+class _PlacementSearch(_Backtracker):
+    """All distance magic labelings of g by direct placement.
 
-    Labels are placed in decreasing magnitude, positive before negative; the
-    first placement is restricted to automorphism orbit representatives,
-    which is sound because composing with an automorphism preserves the
-    label graph.
+    Position p places the p-th label in decreasing magnitude, positive
+    before negative, on an unassigned vertex; the first placement is
+    restricted to automorphism orbit representatives, which is sound because
+    composing with an automorphism preserves the label graph.  A vertex is a
+    candidate when, after the placement, it and each neighbor can still
+    reach a zero neighbor sum with every open neighbor taking at most the
+    next magnitude.
     """
-    n = g.n
-    order = sorted(label_set(n), key=lambda x: (-abs(x), x < 0))
-    assign: list[Optional[int]] = [None] * n
-    ssum = [0] * n
-    open_nb = [g.degree(v) for v in range(n)]
-    nodes = [0]
 
-    def vertex_ok(v: int, next_mag: int) -> bool:
-        if open_nb[v] == 0:
-            return ssum[v] == 0
-        return abs(ssum[v]) <= open_nb[v] * next_mag
+    __slots__ = ("g", "order", "assign", "ssum", "open_nb")
 
-    def rec(step: int):
-        nodes[0] += 1
-        if deadline is not None and nodes[0] % 2048 == 0:
-            if time.monotonic() > deadline:
-                raise SearchTimeLimit
-        if step == n:
-            emit(Labeling(list(assign)))
-            return
-        lab = order[step]
-        next_mag = abs(order[step + 1]) if step + 1 < n else 0
-        if step == 0:
-            candidates = vertex_orbit_representatives(g)
+    def __init__(self, g: Graph, deadline: Optional[float] = None):
+        self.g = g
+        self.order = sorted(label_set(g.n), key=lambda x: (-abs(x), x < 0))
+        super().__init__(g.n, deadline)
+        self.assign: list[Optional[int]] = [None] * g.n
+        self.ssum = [0] * g.n
+        self.open_nb = [g.degree(v) for v in range(g.n)]
+
+    def _snapshot(self) -> Labeling:
+        return Labeling(self.assign)
+
+    def _apply(self, p: int, v: int):
+        lab = self.order[p]
+        self.assign[v] = lab
+        for u in self.g.neighbors[v]:
+            self.ssum[u] += lab
+            self.open_nb[u] -= 1
+
+    def _undo(self, p: int, v: int):
+        lab = self.order[p]
+        self.assign[v] = None
+        for u in self.g.neighbors[v]:
+            self.ssum[u] -= lab
+            self.open_nb[u] += 1
+
+    def _choices(self, p: int) -> list[int]:
+        g, assign, ssum, open_nb = self.g, self.assign, self.ssum, self.open_nb
+        lab = self.order[p]
+        nxt = abs(self.order[p + 1]) if p + 1 < self.m else 0
+        if p == 0:
+            cand = vertex_orbit_representatives(g)
         else:
-            candidates = [v for v in range(n) if assign[v] is None]
-        for v in candidates:
-            assign[v] = lab
+            cand = [v for v in range(g.n) if assign[v] is None]
+        out = []
+        for v in cand:
+            if abs(ssum[v]) > open_nb[v] * nxt:
+                continue
             for u in g.neighbors[v]:
-                ssum[u] += lab
-                open_nb[u] -= 1
-            good = all(vertex_ok(u, next_mag) for u in g.neighbors[v])
-            if good and not vertex_ok(v, next_mag):
-                good = False
-            if good:
-                rec(step + 1)
-            for u in g.neighbors[v]:
-                ssum[u] -= lab
-                open_nb[u] += 1
-            assign[v] = None
-
-    rec(0)
+                if abs(ssum[u] + lab) > (open_nb[u] - 1) * nxt:
+                    break
+            else:
+                out.append(v)
+        return out
 
 
 def find_labelings(
@@ -794,39 +770,28 @@ def find_labelings(
 
     With the self-reverse flag the search runs per candidate partner
     involution of Aut(g); otherwise it is a direct exhaustive placement.
-    An optional cap stops after that many distinct classes, which makes
-    existence checks cheap.  A configured time limit raises SearchTimeLimit
-    rather than returning a silently incomplete list.
+    An optional cap (at least 1) stops after that many distinct classes,
+    which makes existence checks cheap.  A configured time limit raises
+    SearchTimeLimit rather than returning a silently incomplete list.
     """
     if not g.is_regular(4):
         raise SearchError("labeling search supports tetravalent graphs only")
+    if max_results is not None and max_results < 1:
+        raise SearchError("max_results must be at least 1")
     deadline = _deadline(opts)
+    if opts.require_self_reverse:
+        searches = (_InvolutionSearch(g, s, deadline) for s in _involutions_with_pairing(g))
+    else:
+        searches = [_PlacementSearch(g, deadline)]
     found: dict[tuple, Labeling] = {}
-
-    class _Stop(Exception):
-        pass
-
-    def emit(l: Labeling):
-        if not is_distance_magic(g, l):
-            return
-        if opts.require_self_reverse and not is_self_reverse(g, l):
-            return
-        if opts.require_nondegenerate and is_degenerate(g, l):
-            return
+    for l in chain.from_iterable(search.run() for search in searches):
+        if not _labeling_ok(g, l, opts):
+            continue
         key = label_graph(g, l).sort_key()
         if key not in found:
             found[key] = l
-            if max_results is not None and len(found) >= max_results:
-                raise _Stop
-
-    try:
-        if opts.require_self_reverse:
-            for sigma in _involutions_with_pairing(g):
-                _sr_labelings_for_involution(g, sigma, deadline, emit)
-        else:
-            _dm_labelings_fixed_graph(g, deadline, emit)
-    except _Stop:
-        pass
+            if len(found) == max_results:
+                break
     return [found[key] for key in sorted(found)]
 
 

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +19,7 @@ from magiclab.graphs import (
     is_edge_transitive,
     is_vertex_transitive,
     new_graph,
+    _canonical_data,
 )
 from magiclab.families import cartesian_cycles, circulant, direct_cycles, wreath
 
@@ -131,6 +132,15 @@ class TestCanonicalForm:
     def test_order_limit(self):
         with pytest.raises(GraphError):
             canonical_code(Graph(65, []))
+
+    def test_cache_is_bounded(self):
+        # a spider with legs 1, 2, 3 has no nontrivial automorphism, so every
+        # renumbering is a distinct graph value and a distinct cache key
+        spider = Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+        graphs = {apply_permutation(spider, p) for p in islice(permutations(range(7)), 4200)}
+        assert len(graphs) == 4200
+        assert len({canonical_code(g) for g in graphs}) == 1
+        assert _canonical_data.cache_info().currsize <= 4096
 
 
 class TestAutomorphisms:

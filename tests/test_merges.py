@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -388,5 +389,23 @@ class TestBaseCache:
         witness(21)
         assert sorted(os.listdir(cache)) == ["base_21.json"]
         assert json.loads((cache / "base_21.json").read_text()) == json.loads(
+            (COMMITTED_BASES / "base_21.json").read_text()
+        )
+
+    @pytest.mark.parametrize("corrupt", ["wrong_order", "truncated"])
+    def test_invalid_cached_base_is_rebuilt(self, tmp_path, monkeypatch, corrupt):
+        cache = tmp_path / "bases"
+        cache.mkdir()
+        target = cache / "base_21.json"
+        if corrupt == "wrong_order":
+            shutil.copy(COMMITTED_BASES / "base_23.json", target)
+        else:
+            text = (COMMITTED_BASES / "base_21.json").read_text()
+            target.write_text(text[: len(text) // 2])
+        monkeypatch.setenv("MAGICLAB_BASE_CACHE", str(cache))
+        g, l = witness(21)
+        assert g.n == 21 and is_self_reverse(g, l)
+        assert sorted(os.listdir(cache)) == ["base_21.json"]
+        assert json.loads(target.read_text()) == json.loads(
             (COMMITTED_BASES / "base_21.json").read_text()
         )

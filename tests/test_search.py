@@ -1,22 +1,31 @@
+import hashlib
+import random
+import time
+
 import pytest
 
 from magiclab.families import cartesian_cycles, circulant, wreath
-from magiclab.graphs import Graph, are_isomorphic, canonical_code
+from magiclab.graphs import Graph, apply_permutation, are_isomorphic, canonical_code
 from magiclab.labelings import (
     is_degenerate,
     is_distance_magic,
     is_self_reverse,
     label_graph,
+    labeling_to_json,
 )
 from magiclab.search import (
     EnumerationReport,
     SearchError,
     SearchOptions,
+    SearchTimeLimit,
     enumerate_dm,
     enumerate_sr,
     find_labelings,
     iter_sr_pairs,
     table1_report,
+    _involutions_with_pairing,
+    _InvolutionSearch,
+    _PlacementSearch,
 )
 
 from oracle import (
@@ -56,6 +65,10 @@ class TestEnumerateSrSmall:
         pairs, _ = enumerate_sr(12, SearchOptions())
         keys = [tuple(sorted(lg_edges(g, l))) for g, l in pairs]
         assert keys == sorted(keys)
+
+    def test_rejects_missing_self_reverse_flag(self):
+        with pytest.raises(SearchError):
+            enumerate_sr(12, SearchOptions(require_self_reverse=False))
 
     def test_order_too_small(self):
         with pytest.raises(SearchError):
@@ -157,6 +170,28 @@ class TestFindLabelings:
         for l in labs[:10]:
             assert is_distance_magic(g, l)
 
+    @pytest.mark.parametrize("max_results", [0, -3])
+    def test_rejects_max_results_below_one(self, max_results):
+        with pytest.raises(SearchError):
+            find_labelings(
+                wreath(4), SearchOptions(require_self_reverse=False), max_results=max_results
+            )
+
+    def test_first_classes_of_circulant_24(self):
+        # the first three classes in search order, pinned: a capped search
+        # returns a prefix of the stream, so a reordering changes them
+        found = find_labelings(
+            circulant(24, [1, 5, -1, -5]), SearchOptions(require_self_reverse=True), max_results=3
+        )
+        assert [l.labels for l in found] == [
+            (23, -23, 17, 11, -13, 21, -19, -1, 7, -15, 9, 3,
+             -5, 5, -3, -9, 15, -7, 1, 19, -21, 13, -11, -17),
+            (23, -23, 17, 13, 1, 19, -21, 11, -5, -15, -3, -7,
+             9, -9, 7, 3, 15, 5, -11, 21, -19, -1, -13, -17),
+            (23, -23, 17, 13, -11, 19, -21, -1, 7, -15, 9, 5,
+             -3, 3, -5, -9, 15, -7, 1, 21, -19, 11, -13, -17),
+        ]
+
     def test_matches_quotient_enumeration_on_fixed_graph(self):
         # dual-route check: classes on C3 x C6 from the fixed-graph search
         # equal the order-18 enumeration restricted to that graph
@@ -175,6 +210,42 @@ class TestFindLabelings:
         assert direct == via_enum
 
 
+class TestFixedGraphStreams:
+    """The raw emission order of the two fixed-graph searches, before
+    verification and deduplication: sha256 over labeling_to_json of each
+    emitted labeling, one per line.  Renumbering 7 shuffles the vertices
+    with random.Random(7)."""
+
+    DIGESTS = {
+        ("wreath5", None, "sr"): "7e3ccdac82e92993efd42873f21c6f59785dd9136445abbf7304dc35a0423dde",
+        ("wreath5", None, "dm"): "956162a0337a941cba755e82cede3dd6857ac6ceb3e6eedcace4d93f6f0096a5",
+        ("wreath5", 7, "sr"): "d2b3999160348fb86c3e7e3bc9f7253f896ff2c601d61f8b82d023fd91068c4e",
+        ("wreath5", 7, "dm"): "a2355bd1b945b6e606232747800dd6ba0fb271c032828e6c4d2837caa96464bd",
+        ("circ12", None, "sr"): "febbdeb5e68cb9c61ca804072c24ffba0eb80298102d6ed1c37743639746bc20",
+        ("circ12", None, "dm"): "9dbacf2a8d869700a2a65445faf57d11fe304bb5eba5065747ee43e658bd28f9",
+        ("circ12", 7, "sr"): "0804fabdd4cd7e6126f7b729b5b2ac65d4b4d49254054aa237cfa88a785a06e6",
+        ("circ12", 7, "dm"): "f552c03e62c7d09f7fa32d8b9437a22bf64a40c53ca80e625ff46430d9740c8c",
+    }
+    GRAPHS = {"wreath5": lambda: wreath(5), "circ12": lambda: circulant(12, [1, 5, -1, -5])}
+
+    @pytest.mark.parametrize("name, seed, mode", sorted(DIGESTS, key=str))
+    def test_stream_digest(self, name, seed, mode):
+        g = self.GRAPHS[name]()
+        if seed is not None:
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            g = apply_permutation(g, perm)
+        if mode == "sr":
+            searches = [_InvolutionSearch(g, s) for s in _involutions_with_pairing(g)]
+        else:
+            searches = [_PlacementSearch(g)]
+        h = hashlib.sha256()
+        for search in searches:
+            for l in search.run():
+                h.update(labeling_to_json(l).encode() + b"\n")
+        assert h.hexdigest() == self.DIGESTS[name, seed, mode]
+
+
 class TestLazyStream:
     def test_prefix_of_full_run(self):
         stream = iter_sr_pairs(12, SearchOptions(require_nondegenerate=False))
@@ -191,6 +262,21 @@ class TestTimeLimit:
         _, rep = enumerate_sr(22, SearchOptions(require_nondegenerate=True, time_limit=0.05))
         assert not rep.complete
         assert rep.elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "make, flags",
+        [
+            (lambda: circulant(30, [1, 4, -1, -4]), {"require_self_reverse": True}),
+            (lambda: wreath(6), {"require_self_reverse": False}),
+        ],
+        ids=["circulant30-sr", "wreath6-dm"],
+    )
+    def test_fixed_graph_search_raises_promptly(self, make, flags):
+        g = make()
+        start = time.monotonic()
+        with pytest.raises(SearchTimeLimit):
+            find_labelings(g, SearchOptions(time_limit=0.05, **flags))
+        assert time.monotonic() - start < 1.0
 
     def test_bad_options(self):
         with pytest.raises(SearchError):
