@@ -164,7 +164,10 @@ def graph_to_json(g: Graph) -> str:
 
 def graph_from_json(text: str) -> Graph:
     data = json.loads(text)
-    return Graph(int(data["order"]), [tuple(e) for e in data["edges"]])
+    try:
+        return Graph(int(data["order"]), [tuple(e) for e in data["edges"]])
+    except (KeyError, TypeError) as exc:
+        raise GraphError(f"graph JSON lacks a field or has a wrong type: {exc}") from exc
 
 
 # -- twin reduction ----------------------------------------------------------

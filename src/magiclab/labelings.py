@@ -82,8 +82,12 @@ def labeling_to_json(l: Labeling) -> str:
 
 def labeling_from_json(text: str) -> Labeling:
     data = json.loads(text)
-    labels = [int(x) for x in data["labels"]]
-    if len(labels) != int(data["order"]):
+    try:
+        labels = [int(x) for x in data["labels"]]
+        order = int(data["order"])
+    except (KeyError, TypeError) as exc:
+        raise LabelingError(f"labeling JSON lacks a field or has a wrong type: {exc}") from exc
+    if len(labels) != order:
         raise LabelingError("label count does not match the declared order")
     return Labeling(labels)
 
@@ -215,7 +219,10 @@ def label_graph_to_json(lg: LabelGraph) -> str:
 
 def label_graph_from_json(text: str) -> LabelGraph:
     data = json.loads(text)
-    return LabelGraph(int(data["order"]), [tuple(e) for e in data["edges"]])
+    try:
+        return LabelGraph(int(data["order"]), [tuple(e) for e in data["edges"]])
+    except (KeyError, TypeError) as exc:
+        raise LabelingError(f"label graph JSON lacks a field or has a wrong type: {exc}") from exc
 
 
 def label_graph(g: Graph, l: Labeling) -> LabelGraph:

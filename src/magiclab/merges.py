@@ -8,11 +8,15 @@ position, the merged graph inherits a distance magic labeling by shifting
 the second graph's labels outward by the first graph's order; two further
 symmetry conditions on the cyclets keep the result self-reverse.
 
-Witness construction grows graphs in steps of 8 by repeatedly merging in
-the 8-vertex complete-bipartite block along a quotient edge whose labels
-differ by 4.  Base instances are found by the enumerator with an
-extensible-edge filter and cached on disk; a cached base that does not
-parse or lacks one of those properties is rebuilt.
+All three witness functions share one extension chain: a base instance of
+order b = n (mod 8) grows to order n by merging in the 8-vertex
+complete-bipartite block (n - b) / 8 times, each time along a quotient edge
+whose labels differ by 4.  Bases are the enumerator's first non-wreath
+instances with such an edge, cached on disk; a cached base that does not
+parse or lacks one of those properties is rebuilt.  A chain that ends on a
+wreath graph moves on to the next enumerated base, once through the stream.
+Wreath graphs are recognised by open twins, which needs no canonical form
+and works at every order.
 """
 
 from __future__ import annotations
@@ -20,20 +24,20 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .families import wreath, wreath_natural_labeling, wreath_nondegenerate_labeling
-from .graphs import Graph, are_isomorphic, graph_from_json, graph_to_json
+from .graphs import Graph, graph_from_json, graph_to_json
 from .labelings import (
     Labeling,
     is_alternating,
     is_balanced,
-    is_degenerate,
     is_distance_magic,
-    is_self_reverse,
     labeling_from_json,
     labeling_to_json,
 )
@@ -243,11 +247,7 @@ def extend_by_w4(g: Graph, l: Labeling, a: int, b: int) -> tuple[Graph, Labeling
         raise MergeError(f"merge conditions unexpectedly fail: {report}")
     merged = merge(g, c, w4, c2)
     lab = merged_labeling(g, l, w4, l4)
-    if not (
-        is_distance_magic(merged, lab)
-        and is_self_reverse(merged, lab)
-        and not is_degenerate(merged, lab)
-    ):
+    if not _search._labeling_ok(merged, lab, _search.SearchOptions(require_nondegenerate=True)):
         raise MergeError("extension produced an invalid labeling")
     return merged, lab
 
@@ -277,23 +277,32 @@ def _extensible_edge(g: Graph, l: Labeling) -> Optional[tuple[int, int]]:
 
 
 def _is_wreath(g: Graph) -> bool:
-    return g.n % 2 == 0 and g.n >= 6 and are_isomorphic(g, wreath(g.n // 2))
+    """Whether the connected tetravalent graph g is a wreath graph.
+
+    That holds exactly when every vertex has an open twin, a vertex with the
+    same neighbour set.  Twins are never adjacent, and twin classes are
+    joined completely or not at all.  A class of 4 forces K4,4 = wreath(4)
+    and a class of 3 cannot occur; when every class has 2 vertices, the
+    class graph is connected and 2-regular, a cycle C_m, so g is wreath(m).
+    """
+    return g.n >= 6 and min(Counter(g.neighbors).values()) > 1
 
 
-def _find_base(order: int, skip: int = 0) -> tuple[Graph, Labeling]:
-    """First enumerated non-wreath instance of the given order that carries
-    an extensible quotient edge, skipping the given number of hits."""
+def _candidates(order: int) -> Iterator[tuple[Graph, Labeling]]:
+    """The enumerated non-wreath instances of the order that carry an
+    extensible quotient edge, in emission order."""
     opts = _search.SearchOptions(require_nondegenerate=True)
-    hits = 0
     for g, l in _search.iter_sr_pairs(order, opts):
-        if _is_wreath(g):
-            continue
-        if _extensible_edge(g, l) is None:
-            continue
-        if hits == skip:
-            return g, l
-        hits += 1
-    raise MergeError(f"no extensible base instance exists at order {order}")
+        if not _is_wreath(g) and _extensible_edge(g, l) is not None:
+            yield g, l
+
+
+def _find_base(order: int) -> tuple[Graph, Labeling]:
+    """The first candidate of the order: the base its cache file holds."""
+    base = next(_candidates(order), None)
+    if base is None:
+        raise MergeError(f"no extensible base instance exists at order {order}")
+    return base
 
 
 @lru_cache(maxsize=len(BASE_ORDERS))
@@ -303,44 +312,43 @@ def _parse_base(text: str, order: int) -> Optional[tuple[Graph, Labeling]]:
     the text, so repeated loads of an unchanged file are checked once."""
     try:
         data = json.loads(text)
-        g = graph_from_json(json.dumps(data["graph"]))
-        l = labeling_from_json(json.dumps(data["labeling"]))
+        if not isinstance(data, dict):
+            return None
+        g = graph_from_json(json.dumps(data.get("graph")))
+        l = labeling_from_json(json.dumps(data.get("labeling")))
         _verified(g, l, nondegenerate=True, non_wreath=True)
-    except (ValueError, KeyError, TypeError):
+    except ValueError:
         return None
     if g.n != order or _extensible_edge(g, l) is None:
         return None
     return g, l
 
 
-def _load_base(order: int, skip: int = 0) -> tuple[Graph, Labeling]:
-    """The skip-th base of the order; the first one is read from the cache
-    when it holds a valid base, else rebuilt and written back."""
-    if order not in BASE_ORDERS:
-        raise MergeError(f"no base is defined for order {order}")
+def _load_base(order: int) -> tuple[Graph, Labeling]:
+    """The base of the order: read from the cache when it holds a valid
+    one, else rebuilt and written back."""
     cache = _base_cache_dir()
     path = cache / f"base_{order}.json"
-    if skip == 0 and path.exists():
+    if path.exists():
         base = _parse_base(path.read_text(), order)
         if base is not None:
             return base
-    g, l = _find_base(order, skip)
-    if skip == 0:
-        cache.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "graph": json.loads(graph_to_json(g)),
-            "labeling": json.loads(labeling_to_json(l)),
-        }
-        # write beside the target and rename, so an interrupted run never
-        # leaves a truncated base behind
-        fd, tmp = tempfile.mkstemp(prefix=f".base_{order}.", suffix=".tmp", dir=cache)
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(json.dumps(payload))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+    g, l = _find_base(order)
+    cache.mkdir(parents=True, exist_ok=True)
+    payload = {
+        "graph": json.loads(graph_to_json(g)),
+        "labeling": json.loads(labeling_to_json(l)),
+    }
+    # write beside the target and rename, so an interrupted run never
+    # leaves a truncated base behind
+    fd, tmp = tempfile.mkstemp(prefix=f".base_{order}.", suffix=".tmp", dir=cache)
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(json.dumps(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return g, l
 
 
@@ -354,24 +362,22 @@ def _extend_chain(g: Graph, l: Labeling, times: int) -> tuple[Graph, Labeling]:
 
 
 def _verified(g: Graph, l: Labeling, nondegenerate: bool = False, non_wreath: bool = False):
-    ok = (
-        g.is_connected()
-        and g.is_regular(4)
-        and is_distance_magic(g, l)
-        and is_self_reverse(g, l)
-    )
-    if nondegenerate:
-        ok = ok and not is_degenerate(g, l)
-    if non_wreath:
-        ok = ok and not _is_wreath(g)
-    if not ok:
+    opts = _search.SearchOptions(require_nondegenerate=nondegenerate)
+    if not _search._verify_emission(g, l, opts) or (non_wreath and _is_wreath(g)):
         raise MergeError("witness construction produced an invalid instance")
     return g, l
 
 
-def _chain_base_order(n: int, choices: Sequence[int]) -> Optional[int]:
-    fits = [b for b in choices if b <= n and (n - b) % 8 == 0]
-    return max(fits) if fits else None
+def _chain_witness(n: int) -> tuple[Graph, Labeling]:
+    """Extend the base of the largest order b <= n with b = n (mod 8) by
+    (n - b) / 8 blocks.  The cached base is tried first, then the later
+    candidates of order b, until a chain ends on a non-wreath graph."""
+    b = max(o for o in BASE_ORDERS if o <= n and (n - o) % 8 == 0)
+    for g, l in chain([_load_base(b)], islice(_candidates(b), 1, None)):
+        g, l = _extend_chain(g, l, (n - b) // 8)
+        if not _is_wreath(g):
+            return _verified(g, l, nondegenerate=True, non_wreath=True)
+    raise MergeError(f"every extension chain from order {b} ends on a wreath graph")
 
 
 def witness(n: int) -> Optional[tuple[Graph, Labeling]]:
@@ -381,53 +387,21 @@ def witness(n: int) -> Optional[tuple[Graph, Labeling]]:
     if n < 5:
         raise MergeError("witnesses are defined for orders at least 5")
     if n % 2 == 0:
-        if n < 6:
-            return None
-        return _verified(wreath(n // 2), wreath_natural_labeling(n // 2))
-    if n < 21:
-        return None
-    base = _chain_base_order(n, (21, 23, 25, 27))
-    g, l = _load_base(base)
-    return _verified(*_extend_chain(g, l, (n - base) // 8))
+        return _verified(wreath(n // 2), wreath_natural_labeling(n // 2)) if n >= 6 else None
+    return _chain_witness(n) if n >= 21 else None
 
 
 def witness_nondegenerate(n: int) -> Optional[tuple[Graph, Labeling]]:
     """As witness, but the labeling is additionally non-degenerate; present
     exactly for n in {8, 16, 18, 20, 21} and every n >= 23."""
-    if n < 5:
-        raise MergeError("witnesses are defined for orders at least 5")
-    if n == 8:
-        return _verified(wreath(4), wreath_nondegenerate_labeling(4), nondegenerate=True)
-    if n == 16:
-        return _verified(wreath(8), wreath_nondegenerate_labeling(8), nondegenerate=True)
-    if n not in (18, 20, 21) and n < 23:
-        return None
-    base = _chain_base_order(n, BASE_ORDERS)
-    if base is None:
-        return None
-    g, l = _load_base(base)
-    return _verified(*_extend_chain(g, l, (n - base) // 8), nondegenerate=True)
+    if n in (8, 16):
+        return _verified(wreath(n // 2), wreath_nondegenerate_labeling(n // 2), nondegenerate=True)
+    return witness_non_wreath(n)
 
 
 def witness_non_wreath(n: int) -> Optional[tuple[Graph, Labeling]]:
-    """As witness, but the graph is not a wreath graph; present exactly for
-    n >= 18 with n not in {19, 22}.
-
-    Extension chains start from non-wreath bases; the rare event of a chain
-    landing on a wreath graph is caught by verification and retried with the
-    next enumerated base instance.
-    """
+    """As witness, but the graph is not a wreath graph and the labeling is
+    non-degenerate; present exactly for n >= 18 with n not in {19, 22}."""
     if n < 5:
         raise MergeError("witnesses are defined for orders at least 5")
-    if n < 18 or n in (19, 22):
-        return None
-    base = _chain_base_order(n, BASE_ORDERS)
-    if base is None:
-        return None
-    skip = 0
-    while True:
-        g, l = _load_base(base, skip)
-        cand = _extend_chain(g, l, (n - base) // 8)
-        if not _is_wreath(cand[0]):
-            return _verified(*cand, nondegenerate=True, non_wreath=True)
-        skip += 1
+    return _chain_witness(n) if n >= 18 and n not in (19, 22) else None

@@ -147,9 +147,12 @@ def quotient_to_json(q: QuotientGraph) -> str:
 
 def quotient_from_json(text: str) -> QuotientGraph:
     data = json.loads(text)
-    return QuotientGraph(
-        data["n"], data["edges"], data.get("semiedges", ()), data.get("central", False)
-    )
+    try:
+        return QuotientGraph(
+            data["n"], data["edges"], data.get("semiedges", ()), data.get("central", False)
+        )
+    except (KeyError, TypeError) as exc:
+        raise QuotientError(f"quotient JSON lacks a field or has a wrong type: {exc}") from exc
 
 
 def quotient(g: Graph, l: Labeling) -> QuotientGraph:

@@ -783,12 +783,15 @@ def find_labelings(
         searches = (_InvolutionSearch(g, s, deadline) for s in _involutions_with_pairing(g))
     else:
         searches = [_PlacementSearch(g, deadline)]
+    # the predicates depend on the label graph only, so each is checked once
+    seen: set[tuple] = set()
     found: dict[tuple, Labeling] = {}
     for l in chain.from_iterable(search.run() for search in searches):
-        if not _labeling_ok(g, l, opts):
-            continue
         key = label_graph(g, l).sort_key()
-        if key not in found:
+        if key in seen:
+            continue
+        seen.add(key)
+        if _labeling_ok(g, l, opts):
             found[key] = l
             if len(found) == max_results:
                 break

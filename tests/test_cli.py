@@ -80,6 +80,17 @@ class TestVerify:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize("text", ['{"edges": []}', "[1,2]"])
+    @pytest.mark.parametrize("which", ["graph", "labeling"])
+    def test_wrong_shape_json(self, capsys, tmp_path, w3_files, text, which):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        files = {"graph": w3_files[0], "labeling": w3_files[1], which: str(bad)}
+        code, _, err = run(capsys, "verify", "--graph", files["graph"],
+                           "--labeling", files["labeling"])
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_missing_file(self, capsys, w3_files):
         code, _, _ = run(capsys, "verify", "--graph", "/nonexistent.json", "--labeling", w3_files[1])
         assert code == 1
@@ -169,6 +180,12 @@ class TestMergeExtendWitness:
         assert code == 0
         data = json.loads(out)
         assert data["present"] and data["graph"]["order"] == 12
+
+    def test_non_wreath_witness_beyond_canonical_limit(self, capsys):
+        code, out, _ = run(capsys, "witness", "66", "--non-wreath")
+        assert code == 0
+        data = json.loads(out)
+        assert data["present"] and data["graph"]["order"] == 66
 
 
 class TestEnumerate:

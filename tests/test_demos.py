@@ -1,0 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# 04_enumeration takes about 10 s and shows what test_search covers
+DEMOS = ["01_label_model.py", "02_quotients_and_lifts.py", "03_merging.py", "05_witnesses.py"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    env["MAGICLAB_BASE_CACHE"] = str(tmp_path / "bases")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -143,6 +143,47 @@ class TestCanonicalForm:
         assert _canonical_data.cache_info().currsize <= 4096
 
 
+class TestCanonicalFormAgainstNetworkx:
+    """canonical_code against an independent isomorphism test, on every
+    enumerated graph of orders 12 and 14 and every non-degenerate
+    self-reverse class of orders 16..21."""
+
+    @staticmethod
+    def enumerated_graphs():
+        from magiclab.search import SearchOptions, enumerate_dm, iter_sr_pairs
+
+        graphs = []
+        for n in (12, 14):
+            pairs, _ = enumerate_dm(n, SearchOptions(require_self_reverse=False))
+            graphs += [g for g, _ in pairs]
+        for n in range(16, 22):
+            graphs += [g for g, _ in iter_sr_pairs(n, SearchOptions(require_nondegenerate=True))]
+        return graphs
+
+    def test_codes_match_isomorphism(self):
+        nx = pytest.importorskip("networkx")
+
+        def to_nx(g):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            return h
+
+        rng = random.Random(5)
+        reps: dict[bytes, Graph] = {}
+        for g in self.enumerated_graphs():
+            code = canonical_code(g)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_code(apply_permutation(g, perm)) == code
+            rep = reps.setdefault(code, g)
+            assert nx.is_isomorphic(to_nx(rep), to_nx(g))
+        assert len(reps) == 2 + 2 + 1 + 2 + 2 + 7
+        for a, b in combinations(reps.values(), 2):
+            if a.n == b.n:
+                assert not nx.is_isomorphic(to_nx(a), to_nx(b))
+
+
 class TestAutomorphisms:
     def test_c5_has_10(self):
         assert len(automorphism_group(cycle(5))) == 10

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import shutil
+from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,7 @@ from magiclab.labelings import (
     label_graph_to_json,
     labeling_to_json,
 )
+from magiclab import merges
 from magiclab.merges import (
     BASE_ORDERS,
     Cyclet,
@@ -327,6 +330,92 @@ class TestWitnesses:
     def test_small_orders_rejected(self):
         with pytest.raises(MergeError):
             witness(4)
+
+    # sha256 over one line per call, for n = 5..60 and the three functions in
+    # turn: "name(n):" then "-" for None or the graph and labeling JSON
+    OUTPUTS_DIGEST = "dbb0328538b712ef90d951939b15e5b4475ede170d795b68d398f836deae97a0"
+
+    def test_outputs_digest(self):
+        h = hashlib.sha256()
+        for n in range(5, 61):
+            for fn in (witness, witness_nondegenerate, witness_non_wreath):
+                pair = fn(n)
+                line = f"{fn.__name__}({n}):" + (
+                    "-" if pair is None else graph_to_json(pair[0]) + labeling_to_json(pair[1])
+                )
+                h.update(line.encode() + b"\n")
+        assert h.hexdigest() == self.OUTPUTS_DIGEST
+
+    @pytest.mark.parametrize("n", [66, 130])
+    def test_non_wreath_beyond_canonical_limit(self, n):
+        g, l = witness_non_wreath(n)
+        assert g.n == n and g.is_connected() and g.is_regular(4)
+        assert is_distance_magic(g, l) and is_self_reverse(g, l)
+        assert not is_degenerate(g, l)
+        assert 1 in Counter(g.neighbors).values()  # a vertex without a twin
+
+
+class TestIsWreath:
+    """The twin test against an isomorphism test with wreath(n / 2)."""
+
+    def graphs(self):
+        yield from (wreath(m) for m in range(3, 13))
+        pairs, _ = enumerate_dm(12, SearchOptions(require_self_reverse=False))
+        yield from (g for g, _ in pairs)
+        for n in (16, 18, 20):
+            yield from (g for g, _ in iter_sr_pairs(n, SearchOptions(require_nondegenerate=True)))
+
+    def test_agrees_with_isomorphism(self):
+        verdicts = Counter()
+        for g in self.graphs():
+            verdict = merges._is_wreath(g)
+            assert verdict == are_isomorphic(g, wreath(g.n // 2))
+            verdicts[verdict] += 1
+        assert verdicts[True] and verdicts[False]
+
+
+class TestChainRetry:
+    """A chain that ends on a wreath graph moves on to the next candidate
+    base of its order, once through the candidate stream."""
+
+    @pytest.fixture
+    def warm_cache(self, tmp_path, monkeypatch):
+        cache = tmp_path / "bases"
+        cache.mkdir()
+        shutil.copy(COMMITTED_BASES / "base_18.json", cache)
+        monkeypatch.setenv("MAGICLAB_BASE_CACHE", str(cache))
+
+    def test_rejected_chain_moves_to_next_candidate(self, warm_cache, monkeypatch):
+        first, second = islice(merges._candidates(18), 2)
+        rejected = merges._extend_chain(*first, 1)[0]
+        real = merges._is_wreath
+        monkeypatch.setattr(merges, "_is_wreath", lambda g: g == rejected or real(g))
+        assert witness_non_wreath(26) == merges._extend_chain(*second, 1)
+
+    def test_all_chains_rejected_raise_after_one_pass(self, warm_cache, monkeypatch):
+        chains = len(list(merges._candidates(18)))
+        seen = []
+        real = merges._is_wreath
+
+        def rejects_order_26(g):
+            if g.n == 26:
+                seen.append(g)
+                return True
+            return real(g)
+
+        passes = []
+        real_pairs = merges._search.iter_sr_pairs
+
+        def counted_pairs(*args):
+            passes.append(args[0])
+            return real_pairs(*args)
+
+        monkeypatch.setattr(merges, "_is_wreath", rejects_order_26)
+        monkeypatch.setattr(merges._search, "iter_sr_pairs", counted_pairs)
+        with pytest.raises(MergeError):
+            witness_non_wreath(26)
+        assert passes == [18]
+        assert chains > 1 and len(seen) == len(set(seen)) == chains
 
 
 class TestMergeIdentitiesAgainstEnumeration:
