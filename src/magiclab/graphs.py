@@ -6,7 +6,12 @@ groups for small orders.  Canonical forms use individualization-refinement
 on a twin-reduced copy of the graph: vertices with identical open
 neighborhoods are collapsed into a single colored vertex first, which is
 exact for isomorphism and keeps twin-rich graphs (the wreath family)
-tractable.
+tractable.  The refinement search is orbit-pruned (McKay & Piperno,
+Practical graph isomorphism II, 2014): leaves with equal encodings give
+automorphisms, and a root branch in the orbit of an explored one is
+skipped, because it roots an image of that subtree.  The same search
+yields the reduced automorphism group as stabilizer × transversal, from
+which group orders, generators and full listings are derived.
 
 All values are immutable; module-level caches are keyed by graph value and
 are semantically transparent.
@@ -162,10 +167,24 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps({"order": g.n, "edges": [list(e) for e in g.edges()]})
 
 
+def _json_int(x) -> int:
+    """x itself if it is a JSON integer; TypeError for floats, strings and bools."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _json_edge(e) -> tuple[int, int]:
+    """An edge [u, v] of two JSON integers as a tuple; TypeError otherwise."""
+    if not isinstance(e, list) or len(e) != 2:
+        raise TypeError(f"expected an edge [u, v], got {e!r}")
+    return _json_int(e[0]), _json_int(e[1])
+
+
 def graph_from_json(text: str) -> Graph:
     data = json.loads(text)
     try:
-        return Graph(int(data["order"]), [tuple(e) for e in data["edges"]])
+        return Graph(_json_int(data["order"]), [_json_edge(e) for e in data["edges"]])
     except (KeyError, TypeError) as exc:
         raise GraphError(f"graph JSON lacks a field or has a wrong type: {exc}") from exc
 
@@ -263,40 +282,126 @@ def _encode_leaf(neigh: Sequence[Sequence[int]], order: list[int]) -> tuple[int,
     return tuple(rows)
 
 
-def _ir_leaves(neigh: Sequence[Sequence[int]], cells: list[list[int]]):
-    """All minimal-encoding leaves of the refinement search tree.
+def _target_cell(cells: list[list[int]]) -> int:
+    """Index of the smallest non-singleton cell, earliest among ties; -1 if discrete."""
+    target, target_size = -1, None
+    for i, cell in enumerate(cells):
+        if len(cell) > 1 and (target_size is None or len(cell) < target_size):
+            target, target_size = i, len(cell)
+    return target
 
-    Returns (best encoding, list of position->vertex orders achieving it).
-    Branches on the smallest non-singleton cell, earliest among ties,
-    individualizing its members in ascending order.
+
+def _individualize(cells: list[list[int]], target: int, v: int) -> list[list[int]]:
+    rest = [u for u in cells[target] if u != v]
+    return cells[:target] + [[v], rest] + cells[target + 1 :]
+
+
+def _leaves(neigh: Sequence[Sequence[int]], cells: list[list[int]]):
+    """Yield (encoding, position->vertex order) for each leaf below `cells`.
+
+    Lazy, so a caller that stops early skips the refinements of the rest of
+    the subtree.  Branches on `_target_cell`, individualizing its members in
+    ascending order.
     """
-    best: list = [None]
-    best_orders: list[list[int]] = []
+    cells = _refine(neigh, cells)
+    target = _target_cell(cells)
+    if target < 0:
+        order = [cell[0] for cell in cells]
+        yield _encode_leaf(neigh, order), order
+        return
+    for v in sorted(cells[target]):
+        yield from _leaves(neigh, _individualize(cells, target, v))
 
-    def rec(cells: list[list[int]]):
-        cells = _refine(neigh, cells)
-        target = -1
-        target_size = None
-        for i, cell in enumerate(cells):
-            if len(cell) > 1 and (target_size is None or len(cell) < target_size):
-                target, target_size = i, len(cell)
-        if target < 0:
-            order = [cell[0] for cell in cells]
-            enc = _encode_leaf(neigh, order)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-                best_orders.clear()
-                best_orders.append(order)
-            elif enc == best[0]:
-                best_orders.append(order)
-            return
-        cell = cells[target]
-        for v in sorted(cell):
-            rest = [u for u in cell if u != v]
-            rec(cells[:target] + [[v], rest] + cells[target + 1 :])
 
-    rec(cells)
-    return best[0], best_orders
+def _leaf_map(src: list[int], dst: list[int]) -> tuple[int, ...]:
+    """The permutation taking leaf order `src` to leaf order `dst`."""
+    perm = [0] * len(src)
+    for a, b in zip(src, dst):
+        perm[a] = b
+    return tuple(perm)
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _merge_orbits(parent: list[int], perm: Sequence[int]):
+    """Union every v with perm[v], so the sets become orbits of the group so far."""
+    for v in range(len(perm)):
+        a, b = _find(parent, v), _find(parent, perm[v])
+        if a != b:
+            parent[a] = b
+
+
+def _ir_search(neigh: Sequence[Sequence[int]], cells: list[list[int]]):
+    """Orbit-pruned individualization-refinement search.
+
+    Returns (least leaf encoding, a leaf order achieving it, stab, trans).
+    The search tree is invariant under the automorphisms of the colored
+    graph, so a root child in the orbit of an explored one roots an image of
+    its subtree, with the same leaf encodings, and is skipped.  Every leaf
+    below the first root child v0 is visited: those equal to the least of
+    them, zeta, are its images under the stabilizer of v0, so `stab` is that
+    whole stabilizer, identity included.  A leaf below a later child that
+    equals zeta or the best leaf gives an automorphism; one equal to zeta
+    maps v0 to that child, whose remaining subtree is then skipped.  Every
+    automorphism is t∘s for exactly one t in `trans` (one per vertex of
+    v0's orbit) and s in `stab`.
+    """
+    n = len(neigh)
+    root = _refine(neigh, cells)
+    target = _target_cell(root)
+    if target < 0:
+        order = [cell[0] for cell in root]
+        identity = tuple(range(n))
+        return _encode_leaf(neigh, order), order, [identity], [identity]
+    v0, *others = sorted(root[target])
+    zeta_enc = None
+    for enc, order in _leaves(neigh, _individualize(root, target, v0)):
+        if zeta_enc is None or enc < zeta_enc:
+            zeta_enc, zeta_images = enc, [order]
+        elif enc == zeta_enc:
+            zeta_images.append(order)
+    zeta = zeta_images[0]
+    stab = [_leaf_map(zeta, order) for order in zeta_images]
+    best_enc, best = zeta_enc, zeta
+    gens: list[tuple[int, ...]] = []
+    parent = list(range(n))
+
+    def record(perm: tuple[int, ...]):
+        gens.append(perm)
+        _merge_orbits(parent, perm)
+
+    for perm in stab:
+        record(perm)
+    explored = [v0]
+    for v in others:
+        if any(_find(parent, v) == _find(parent, u) for u in explored):
+            continue
+        explored.append(v)
+        for enc, order in _leaves(neigh, _individualize(root, target, v)):
+            if enc == zeta_enc:
+                record(_leaf_map(zeta, order))
+                break
+            if enc == best_enc:
+                record(_leaf_map(best, order))
+            elif enc < best_enc:
+                best_enc, best = enc, order
+    # Schreier search for one automorphism per vertex of v0's orbit
+    trans = {v0: tuple(range(n))}
+    queue = [v0]
+    for w in queue:
+        t = trans[w]
+        for perm in gens:
+            x = perm[w]
+            if x not in trans:
+                trans[x] = tuple(perm[y] for y in t)
+                queue.append(x)
+    return best_enc, best, stab, list(trans.values())
 
 
 def _initial_cells(sizes: Sequence[int]) -> list[list[int]]:
@@ -309,8 +414,13 @@ def _initial_cells(sizes: Sequence[int]) -> list[list[int]]:
 
 @lru_cache(maxsize=4096)
 def _canonical_data(g: Graph):
-    """(code bytes, reduced neighbors, sizes, classes, canonical leaf orders).
+    """(code bytes, twin classes, stab, trans).
 
+    The code comes from the orbit-pruned search `_ir_search` on the
+    twin-reduced graph, colored by class size.  stab and trans describe the
+    color-preserving automorphisms of the reduced graph (vertex i stands for
+    classes[i]) as a stabilizer times a transversal: each one is t∘s for
+    exactly one t in trans and s in stab, so the group is never listed here.
     Cached per graph value, least recently used first out; all consumers
     below share this computation.
     """
@@ -320,14 +430,13 @@ def _canonical_data(g: Graph):
         )
     reduced, sizes, classes = _reduce_twins(g)
     if not reduced:
-        return (bytes([0, 0]), reduced, sizes, classes, [[]])
-    enc, orders = _ir_leaves(reduced, _initial_cells(sizes))
+        return (bytes([0, 0]), classes, [()], [()])
+    enc, best, stab, trans = _ir_search(reduced, _initial_cells(sizes))
     k = len(reduced)
-    order0 = orders[0]
-    head = bytes([g.n, k]) + bytes(sizes[v] for v in order0)
+    head = bytes([g.n, k]) + bytes(sizes[v] for v in best)
     rowbytes = (k + 7) // 8
     body = b"".join(row.to_bytes(rowbytes, "big") for row in enc)
-    return (head + body, reduced, sizes, classes, orders)
+    return (head + body, classes, stab, trans)
 
 
 def canonical_code(g: Graph) -> bytes:
@@ -350,25 +459,10 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # -- automorphisms -----------------------------------------------------------
 
 
-def _reduced_automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Color-preserving automorphisms of the twin-reduced graph."""
-    _, reduced, _sizes, _classes, orders = _canonical_data(g)
-    if not reduced:
-        return [()]
-    base = orders[0]
-    autos = []
-    for order in orders:
-        perm = [0] * len(reduced)
-        for i, v in enumerate(base):
-            perm[v] = order[i]
-        autos.append(tuple(perm))
-    return autos
-
-
 def group_order(g: Graph) -> int:
     """|Aut(g)| without listing the group."""
-    _, _reduced, _sizes, classes, _orders = _canonical_data(g)
-    count = len(_reduced_automorphisms(g))
+    _, classes, stab, trans = _canonical_data(g)
+    count = len(trans) * len(stab)
     for cls in classes:
         count *= factorial(len(cls))
     return count
@@ -388,34 +482,33 @@ def automorphism_group(g: Graph) -> list[tuple[int, ...]]:
     size = group_order(g)
     if size > MAX_GROUP_SIZE:
         raise GraphError(f"automorphism group of size {size} is too large to list")
-    _, _reduced, _sizes, classes, _orders = _canonical_data(g)
-    reduced_autos = _reduced_automorphisms(g)
+    _, classes, stab, trans = _canonical_data(g)
+    reduced_autos = [tuple(t[x] for x in s) for t in trans for s in stab]
     class_perm_pools = [list(permutations(cls)) for cls in classes]
     perms = []
 
-    def build(ra_idx: int, pool_idx: int, perm: list[int]):
+    def build(ra: tuple[int, ...], pool_idx: int, perm: list[int]):
         if pool_idx == len(classes):
             perms.append(tuple(perm))
             return
-        ra = reduced_autos[ra_idx]
         src = classes[pool_idx]
         dst = classes[ra[pool_idx]]
         for arrangement in class_perm_pools[pool_idx]:
             # arrangement is an ordering of src members; map them onto dst in order
             for s, d in zip(arrangement, dst):
                 perm[s] = d
-            build(ra_idx, pool_idx + 1, perm)
+            build(ra, pool_idx + 1, perm)
 
     scratch = [0] * g.n
-    for ra_idx in range(len(reduced_autos)):
-        build(ra_idx, 0, scratch)
+    for ra in reduced_autos:
+        build(ra, 0, scratch)
     perms.sort()
     return perms
 
 
 def _aut_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Generating set for Aut(g): twin-class transpositions + lifted reduced autos."""
-    _, _reduced, _sizes, classes, _orders = _canonical_data(g)
+    """Generating set for Aut(g): twin-class transpositions + lifted stab and trans."""
+    _, classes, stab, trans = _canonical_data(g)
     gens = []
     identity = list(range(g.n))
     for cls in classes:
@@ -423,7 +516,7 @@ def _aut_generators(g: Graph) -> list[tuple[int, ...]]:
             perm = identity[:]
             perm[a], perm[b] = b, a
             gens.append(tuple(perm))
-    for ra in _reduced_automorphisms(g):
+    for ra in stab + trans:
         perm = identity[:]
         for i, cls in enumerate(classes):
             for s, d in zip(cls, classes[ra[i]]):
@@ -433,23 +526,12 @@ def _aut_generators(g: Graph) -> list[tuple[int, ...]]:
 
 
 def _vertex_orbits(g: Graph) -> list[list[int]]:
-    gens = _aut_generators(g)
     parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in gens:
-        for v in range(g.n):
-            a, b = find(v), find(perm[v])
-            if a != b:
-                parent[a] = b
+    for perm in _aut_generators(g):
+        _merge_orbits(parent, perm)
     orbits: dict[int, list[int]] = {}
     for v in range(g.n):
-        orbits.setdefault(find(v), []).append(v)
+        orbits.setdefault(_find(parent, v), []).append(v)
     return sorted(orbits.values(), key=lambda o: o[0])
 
 
@@ -459,10 +541,13 @@ def vertex_orbit_representatives(g: Graph) -> list[int]:
 
 
 def is_vertex_transitive(g: Graph) -> bool:
-    """True iff the automorphism group has a single vertex orbit."""
-    if g.n > MAX_GROUP_ORDER:
+    """True iff the automorphism group has a single vertex orbit.
+
+    Works from generators, so it is limited by MAX_CANONICAL_ORDER only.
+    """
+    if g.n > MAX_CANONICAL_ORDER:
         raise GraphError(
-            f"order {g.n} exceeds the group-listing limit {MAX_GROUP_ORDER}"
+            f"order {g.n} exceeds the canonical-form limit {MAX_CANONICAL_ORDER}"
         )
     if g.n == 0:
         return True
@@ -470,10 +555,13 @@ def is_vertex_transitive(g: Graph) -> bool:
 
 
 def is_edge_transitive(g: Graph) -> bool:
-    """True iff the automorphism group has a single edge orbit."""
-    if g.n > MAX_GROUP_ORDER:
+    """True iff the automorphism group has a single edge orbit.
+
+    Works from generators, so it is limited by MAX_CANONICAL_ORDER only.
+    """
+    if g.n > MAX_CANONICAL_ORDER:
         raise GraphError(
-            f"order {g.n} exceeds the group-listing limit {MAX_GROUP_ORDER}"
+            f"order {g.n} exceeds the canonical-form limit {MAX_CANONICAL_ORDER}"
         )
     edges = g.edges()
     if not edges:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _json_edge, _json_int
 
 
 class LabelingError(ValueError):
@@ -83,8 +83,8 @@ def labeling_to_json(l: Labeling) -> str:
 def labeling_from_json(text: str) -> Labeling:
     data = json.loads(text)
     try:
-        labels = [int(x) for x in data["labels"]]
-        order = int(data["order"])
+        labels = [_json_int(x) for x in data["labels"]]
+        order = _json_int(data["order"])
     except (KeyError, TypeError) as exc:
         raise LabelingError(f"labeling JSON lacks a field or has a wrong type: {exc}") from exc
     if len(labels) != order:
@@ -220,7 +220,7 @@ def label_graph_to_json(lg: LabelGraph) -> str:
 def label_graph_from_json(text: str) -> LabelGraph:
     data = json.loads(text)
     try:
-        return LabelGraph(int(data["order"]), [tuple(e) for e in data["edges"]])
+        return LabelGraph(_json_int(data["order"]), [_json_edge(e) for e in data["edges"]])
     except (KeyError, TypeError) as exc:
         raise LabelingError(f"label graph JSON lacks a field or has a wrong type: {exc}") from exc
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _json_edge, _json_int
 from .labelings import (
     Labeling,
     is_degenerate,
@@ -148,8 +148,16 @@ def quotient_to_json(q: QuotientGraph) -> str:
 def quotient_from_json(text: str) -> QuotientGraph:
     data = json.loads(text)
     try:
+        edges = []
+        for e in data["edges"]:
+            if not isinstance(e, list) or len(e) != 3:
+                raise TypeError(f"expected an edge [a, b, color], got {e!r}")
+            edges.append((*_json_edge(e[:2]), e[2]))
         return QuotientGraph(
-            data["n"], data["edges"], data.get("semiedges", ()), data.get("central", False)
+            _json_int(data["n"]),
+            edges,
+            [_json_int(s) for s in data.get("semiedges", ())],
+            data.get("central", False),
         )
     except (KeyError, TypeError) as exc:
         raise QuotientError(f"quotient JSON lacks a field or has a wrong type: {exc}") from exc

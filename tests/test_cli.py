@@ -91,6 +91,21 @@ class TestVerify:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("which,text", [
+        ("labeling", '{"order": 6, "labels": [1.5, 3, 5, -1, -3, -5]}'),
+        ("labeling", '{"order": 6, "labels": [1, "3", 5, -1, -3, -5]}'),
+        ("graph", '{"order": 6.9, "edges": []}'),
+        ("graph", '{"order": 6, "edges": [[0, 1, 2]]}'),
+    ])
+    def test_non_integer_json(self, capsys, tmp_path, w3_files, which, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        files = {"graph": w3_files[0], "labeling": w3_files[1], which: str(bad)}
+        code, _, err = run(capsys, "verify", "--graph", files["graph"],
+                           "--labeling", files["labeling"])
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_missing_file(self, capsys, w3_files):
         code, _, _ = run(capsys, "verify", "--graph", "/nonexistent.json", "--labeling", w3_files[1])
         assert code == 1
@@ -138,6 +153,17 @@ class TestQuotientLift:
         assert code == 0
         lifted = graph_from_json(json.dumps(json.loads(out)["graph"]))
         assert are_isomorphic(lifted, wreath(4))
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 8, "edges": [[0, "a"]]}',
+        '{"n": 8.0, "edges": [[1, 3, "solid"]]}',
+    ])
+    def test_lift_non_integer_json(self, capsys, tmp_path, text):
+        q = tmp_path / "q.json"
+        q.write_text(text)
+        code, _, err = run(capsys, "lift", "--quotient", str(q))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestMergeExtendWitness:

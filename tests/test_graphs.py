@@ -1,10 +1,12 @@
+import hashlib
 import random
 from itertools import combinations, islice, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import magiclab.graphs as graphs
 from magiclab.graphs import (
     Graph,
     GraphError,
@@ -15,10 +17,12 @@ from magiclab.graphs import (
     connected_components,
     graph_from_json,
     graph_to_json,
+    group_order,
     induced_subgraph,
     is_edge_transitive,
     is_vertex_transitive,
     new_graph,
+    vertex_orbit_representatives,
     _canonical_data,
 )
 from magiclab.families import cartesian_cycles, circulant, direct_cycles, wreath
@@ -61,6 +65,20 @@ class TestConstruction:
         assert graph_from_json(graph_to_json(g)) == g
         edges = graph_to_json(g)
         assert edges.index("[0, 1]") < edges.index("[0, 4]") < edges.index("[1, 2]")
+
+    @pytest.mark.parametrize("text", [
+        '{"order": 3.9, "edges": []}',
+        '{"order": "3", "edges": []}',
+        '{"order": true, "edges": []}',
+        '{"order": 3, "edges": [[0, 1.0]]}',
+        '{"order": 3, "edges": [[0, false]]}',
+        '{"order": 3, "edges": [[0, 1, 2]]}',
+        '{"order": 3, "edges": [[0]]}',
+        '{"order": 3, "edges": ["01"]}',
+    ])
+    def test_json_integers_are_strict(self, text):
+        with pytest.raises(GraphError):
+            graph_from_json(text)
 
 
 class TestBasicQueries:
@@ -132,6 +150,21 @@ class TestCanonicalForm:
     def test_order_limit(self):
         with pytest.raises(GraphError):
             canonical_code(Graph(65, []))
+
+    def test_orbit_pruning_bounds_refinements(self, monkeypatch):
+        # the full refinement tree has 25 nodes for wreath(8) and 127 for C3 x C6
+        calls = []
+        refine = graphs._refine
+        monkeypatch.setattr(graphs, "_refine", lambda *args: calls.append(1) or refine(*args))
+        for seed in range(20):
+            perm = list(range(16))
+            random.Random(seed).shuffle(perm)
+            calls.clear()
+            _canonical_data.__wrapped__(apply_permutation(wreath(8), perm))
+            assert len(calls) <= 12
+        calls.clear()
+        _canonical_data.__wrapped__(cartesian_cycles(3, 6))
+        assert len(calls) <= 63
 
     def test_cache_is_bounded(self):
         # a spider with legs 1, 2, 3 has no nontrivial automorphism, so every
@@ -222,6 +255,91 @@ class TestAutomorphisms:
             assert all(g.has_edge(p[u], p[v]) for u, v in g.edges())
 
 
+# legs of lengths 1, 2 and 3: the smallest asymmetric tree, whose root
+# partition is already discrete
+SPIDER = Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+
+
+@st.composite
+def small_graphs(draw):
+    kind = draw(st.sampled_from(["random", "edgeless", "twins", "asymmetric"]))
+    if kind == "asymmetric":
+        return apply_permutation(SPIDER, draw(st.permutations(range(7))))
+    n = draw(st.integers(min_value=0, max_value=7))
+    if kind == "edgeless":
+        return Graph(n, [])
+    if kind == "twins" and n >= 2:
+        # vertex v copies the neighbourhood of v % k, so every class has open twins
+        k = draw(st.integers(min_value=1, max_value=n - 1))
+        base = set(draw(st.lists(st.sampled_from(list(combinations(range(k), 2)))))) if k > 1 else set()
+        return Graph(n, [(u, v) for u, v in combinations(range(n), 2)
+                         if (u % k, v % k) in base or (v % k, u % k) in base])
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, draw(st.lists(st.sampled_from(pairs))) if pairs else [])
+
+
+class TestAutomorphismsAgainstBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(g=SPIDER, seed=0)
+    @example(g=Graph(0, []), seed=0)
+    @example(g=Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4)]), seed=1)
+    @example(g=Graph(6, [(a, b) for a in range(3) for b in range(3, 6)]), seed=2)
+    def test_group_and_code(self, g, seed):
+        brute = sorted(
+            p for p in permutations(range(g.n))
+            if all(g.has_edge(p[u], p[v]) for u, v in g.edges())
+        )
+        assert automorphism_group(g) == brute
+        assert group_order(g) == len(brute)
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        assert canonical_code(apply_permutation(g, perm)) == canonical_code(g)
+
+
+class TestPinnedOutputs:
+    """Canonical codes and group queries, pinned by digests computed before
+    the search was orbit-pruned."""
+
+    @staticmethod
+    def family_graphs():
+        fam = [wreath(k) for k in range(3, 13)] + [
+            circulant(24, [1, 5, -1, -5]),
+            circulant(30, [1, 4, -1, -4]),
+            cartesian_cycles(3, 5),
+            cartesian_cycles(3, 6),
+            cartesian_cycles(4, 4),
+        ]
+        rng = random.Random(3)
+        renumbered = []
+        for g in fam:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            renumbered.append(apply_permutation(g, perm))
+        return fam + renumbered
+
+    def test_codes_digest(self):
+        from magiclab.search import SearchOptions, enumerate_dm, enumerate_sr
+
+        dm, _ = enumerate_dm(12, SearchOptions(require_self_reverse=False))
+        sr, _ = enumerate_sr(14, SearchOptions())
+        h = hashlib.sha256()
+        for g in [g for g, _ in dm] + [g for g, _ in sr] + self.family_graphs():
+            h.update(canonical_code(g))
+        assert h.hexdigest() == "be674126e841673a73a4e707c1e13309b4980f90147b260f618a620862941090"
+
+    def test_groups_digest(self):
+        h = hashlib.sha256()
+        for g in self.family_graphs():
+            facts = [group_order(g), vertex_orbit_representatives(g)]
+            if g.n <= 32:
+                facts += [is_vertex_transitive(g), is_edge_transitive(g)]
+            if facts[0] <= 200_000:
+                facts.append(automorphism_group(g))
+            h.update(repr(facts).encode())
+        assert h.hexdigest() == "f3a1ff504fce9f8823022d4974bdc56b553c814a9d69d73fa14e38465947b8d3"
+
+
 def _divides(group_size: int, n: int) -> bool:
     import math
     return math.factorial(n) % group_size == 0
@@ -255,3 +373,15 @@ class TestTransitivity:
         g = direct_cycles(8, 8)
         for comp in connected_components(g):
             assert is_vertex_transitive(induced_subgraph(g, comp))
+
+    def test_transitivity_above_group_listing_limit(self):
+        assert is_vertex_transitive(wreath(20))
+        assert is_edge_transitive(circulant(48, [1, 7, -1, -7]))
+        assert is_vertex_transitive(cartesian_cycles(5, 8))
+        assert not is_edge_transitive(cartesian_cycles(5, 8))
+
+    def test_transitivity_order_limit(self):
+        with pytest.raises(GraphError):
+            is_vertex_transitive(Graph(65, []))
+        with pytest.raises(GraphError):
+            is_edge_transitive(Graph(65, []))

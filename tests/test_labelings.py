@@ -19,6 +19,7 @@ from magiclab.labelings import (
     is_link,
     is_self_reverse,
     label_graph,
+    label_graph_from_json,
     label_set,
     labeling_from_json,
     labeling_to_json,
@@ -66,6 +67,17 @@ class TestLabelingBasics:
     def test_json_round_trip(self):
         l = wreath_natural_labeling(4)
         assert labeling_from_json(labeling_to_json(l)) == l
+
+    @pytest.mark.parametrize("text", [
+        '{"order": 3, "labels": [-2.5, "0", 2.9]}',
+        '{"order": 3, "labels": [-2, 0, 2.0]}',
+        '{"order": 3, "labels": [-2, false, 2]}',
+        '{"order": 3.0, "labels": [-2, 0, 2]}',
+        '{"order": "3", "labels": [-2, 0, 2]}',
+    ])
+    def test_json_integers_are_strict(self, text):
+        with pytest.raises(LabelingError):
+            labeling_from_json(text)
 
     def test_partner(self):
         l = wreath_natural_labeling(3)
@@ -199,6 +211,17 @@ class TestLabelGraph:
         lg = label_graph(g, l)
         g2, l2 = lg.to_graph()
         assert label_graph(g2, l2) == lg
+
+    @pytest.mark.parametrize("text", [
+        '{"order": 4.0, "edges": [[-3, 1]]}',
+        '{"order": 4, "edges": [[-3, 1.0]]}',
+        '{"order": 4, "edges": [["-3", 1]]}',
+        '{"order": 4, "edges": [[true, 1]]}',
+        '{"order": 4, "edges": [[-3, 1, 3]]}',
+    ])
+    def test_json_integers_are_strict(self, text):
+        with pytest.raises(LabelingError):
+            label_graph_from_json(text)
 
 
 class TestBipartitionAndLinks:

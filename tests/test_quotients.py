@@ -133,6 +133,19 @@ class TestJson:
         assert data["central"] is False
         assert ["1", "3"] not in data["edges"]  # labels stay integers
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 8.0, "edges": []}',
+        '{"n": "8", "edges": []}',
+        '{"n": 8, "edges": [[1, 3.0, "solid"]]}',
+        '{"n": 8, "edges": [[1, false, "solid"]]}',
+        '{"n": 8, "edges": [[0, "a"]]}',
+        '{"n": 8, "edges": [[1, 3, "solid", 5]]}',
+        '{"n": 8, "edges": [], "semiedges": [1.5]}',
+    ])
+    def test_json_integers_are_strict(self, text):
+        with pytest.raises(QuotientError):
+            quotient_from_json(text)
+
 
 class TestDot:
     def test_w4_shape(self):
