@@ -16,6 +16,7 @@ from pathlib import Path
 from . import families, merges, quotients, search
 from .graphs import Graph, graph_from_json, graph_to_json
 from .labelings import (
+    Labeling,
     is_degenerate,
     is_distance_magic,
     is_self_reverse,
@@ -63,6 +64,14 @@ def _read_graph(path: str) -> Graph:
 
 def _read_labeling(path: str):
     return labeling_from_json(Path(path).read_text())
+
+
+def _pair_payload(g: Graph, l: Labeling) -> dict:
+    """The JSON object {"graph": ..., "labeling": ...} for one pair."""
+    return {
+        "graph": json.loads(graph_to_json(g)),
+        "labeling": json.loads(labeling_to_json(l)),
+    }
 
 
 def _int_list(text: str) -> list[int]:
@@ -138,10 +147,7 @@ def _cmd_lift(args) -> int:
     except quotients.QuotientError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VERIFY
-    print(json.dumps({
-        "graph": json.loads(graph_to_json(g)),
-        "labeling": json.loads(labeling_to_json(l)),
-    }))
+    print(json.dumps(_pair_payload(g, l)))
     return EXIT_OK
 
 
@@ -178,10 +184,7 @@ def _cmd_extend(args) -> int:
     for _ in range(args.times):
         g, l = merges.extend_by_w4(g, l, a, b)
         a, b = g.n - 8 + 3, g.n - 8 + 7
-    print(json.dumps({
-        "graph": json.loads(graph_to_json(g)),
-        "labeling": json.loads(labeling_to_json(l)),
-    }))
+    print(json.dumps(_pair_payload(g, l)))
     return EXIT_OK
 
 
@@ -196,11 +199,7 @@ def _cmd_witness(args) -> int:
         print(json.dumps({"present": False}))
         return EXIT_OK
     g, l = pair
-    print(json.dumps({
-        "present": True,
-        "graph": json.loads(graph_to_json(g)),
-        "labeling": json.loads(labeling_to_json(l)),
-    }))
+    print(json.dumps({"present": True, **_pair_payload(g, l)}))
     return EXIT_OK
 
 
@@ -219,11 +218,7 @@ def _cmd_enumerate(args) -> int:
         out = Path(args.emit_dir)
         out.mkdir(parents=True, exist_ok=True)
         for i, (g, l) in enumerate(pairs):
-            payload = {
-                "graph": json.loads(graph_to_json(g)),
-                "labeling": json.loads(labeling_to_json(l)),
-            }
-            (out / f"find_{i:06d}.json").write_text(json.dumps(payload))
+            (out / f"find_{i:06d}.json").write_text(json.dumps(_pair_payload(g, l)))
         (out / "report.json").write_text(json.dumps(report.to_dict()))
     print(json.dumps(report.to_dict()))
     return EXIT_OK if report.complete else EXIT_PARTIAL

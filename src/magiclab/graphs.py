@@ -6,12 +6,13 @@ groups for small orders.  Canonical forms use individualization-refinement
 on a twin-reduced copy of the graph: vertices with identical open
 neighborhoods are collapsed into a single colored vertex first, which is
 exact for isomorphism and keeps twin-rich graphs (the wreath family)
-tractable.  The refinement search is orbit-pruned (McKay & Piperno,
-Practical graph isomorphism II, 2014): leaves with equal encodings give
-automorphisms, and a root branch in the orbit of an explored one is
-skipped, because it roots an image of that subtree.  The same search
-yields the reduced automorphism group as stabilizer × transversal, from
-which group orders, generators and full listings are derived.
+tractable.  The refinement search is orbit-pruned at every level (McKay &
+Piperno, Practical graph isomorphism II, 2014): leaves with equal encodings
+give automorphisms, and a branch in the orbit of an explored sibling under
+automorphisms fixing the path above is skipped, as it roots an image of that
+subtree.  The search's first path is a base of the reduced automorphism
+group, with one transversal per level, from which group orders, generators
+and full listings are derived.
 
 All values are immutable; module-level caches are keyed by graph value and
 are semantically transparent.
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 MAX_CANONICAL_ORDER = 64
@@ -338,37 +339,34 @@ def _merge_orbits(parent: list[int], perm: Sequence[int]):
 
 
 def _ir_search(neigh: Sequence[Sequence[int]], cells: list[list[int]]):
-    """Orbit-pruned individualization-refinement search.
+    """Individualization-refinement search, orbit-pruned at every level.
 
-    Returns (least leaf encoding, a leaf order achieving it, stab, trans).
-    The search tree is invariant under the automorphisms of the colored
-    graph, so a root child in the orbit of an explored one roots an image of
-    its subtree, with the same leaf encodings, and is skipped.  Every leaf
-    below the first root child v0 is visited: those equal to the least of
-    them, zeta, are its images under the stabilizer of v0, so `stab` is that
-    whole stabilizer, identity included.  A leaf below a later child that
-    equals zeta or the best leaf gives an automorphism; one equal to zeta
-    maps v0 to that child, whose remaining subtree is then skipped.  Every
-    automorphism is t∘s for exactly one t in `trans` (one per vertex of
-    v0's orbit) and s in `stab`.
+    Returns (least leaf encoding, a leaf order achieving it, gens, levels).
+    The first path individualizes the least vertex v_d of the target cell at
+    each level d, down to the leaf zeta.  Levels are then processed deepest
+    first, so every automorphism found so far fixes v_0..v_{d-1}; the tree
+    is invariant under them, so a sibling of v_d in the orbit of an explored
+    sibling roots an image of its subtree and is skipped.  Below the others,
+    a leaf equal to zeta gives an automorphism taking v_d to that sibling
+    and ends its walk; one equal to the best leaf gives an automorphism; a
+    smaller one becomes the best.  So the first path is a base: the
+    automorphisms found at levels >= d, all in gens, generate the stabilizer
+    of v_0..v_{d-1}, and levels[d] holds one of them per vertex of the orbit
+    of v_d (a Schreier search), identity first.  Every automorphism is
+    t_0∘t_1∘... for exactly one choice of t_d in levels[d].
     """
     n = len(neigh)
-    root = _refine(neigh, cells)
-    target = _target_cell(root)
-    if target < 0:
-        order = [cell[0] for cell in root]
-        identity = tuple(range(n))
-        return _encode_leaf(neigh, order), order, [identity], [identity]
-    v0, *others = sorted(root[target])
-    zeta_enc = None
-    for enc, order in _leaves(neigh, _individualize(root, target, v0)):
-        if zeta_enc is None or enc < zeta_enc:
-            zeta_enc, zeta_images = enc, [order]
-        elif enc == zeta_enc:
-            zeta_images.append(order)
-    zeta = zeta_images[0]
-    stab = [_leaf_map(zeta, order) for order in zeta_images]
-    best_enc, best = zeta_enc, zeta
+    path = []
+    cells = _refine(neigh, cells)
+    target = _target_cell(cells)
+    while target >= 0:
+        path.append((cells, target))
+        cells = _refine(neigh, _individualize(cells, target, min(cells[target])))
+        target = _target_cell(cells)
+    zeta = [cell[0] for cell in cells]
+    zeta_enc = best_enc = _encode_leaf(neigh, zeta)
+    best = zeta
+    identity = tuple(range(n))
     gens: list[tuple[int, ...]] = []
     parent = list(range(n))
 
@@ -376,32 +374,34 @@ def _ir_search(neigh: Sequence[Sequence[int]], cells: list[list[int]]):
         gens.append(perm)
         _merge_orbits(parent, perm)
 
-    for perm in stab:
-        record(perm)
-    explored = [v0]
-    for v in others:
-        if any(_find(parent, v) == _find(parent, u) for u in explored):
-            continue
-        explored.append(v)
-        for enc, order in _leaves(neigh, _individualize(root, target, v)):
-            if enc == zeta_enc:
-                record(_leaf_map(zeta, order))
-                break
-            if enc == best_enc:
-                record(_leaf_map(best, order))
-            elif enc < best_enc:
-                best_enc, best = enc, order
-    # Schreier search for one automorphism per vertex of v0's orbit
-    trans = {v0: tuple(range(n))}
-    queue = [v0]
-    for w in queue:
-        t = trans[w]
-        for perm in gens:
-            x = perm[w]
-            if x not in trans:
-                trans[x] = tuple(perm[y] for y in t)
-                queue.append(x)
-    return best_enc, best, stab, list(trans.values())
+    levels = []
+    for cells, target in reversed(path):
+        vd, *others = sorted(cells[target])
+        explored = [vd]
+        for v in others:
+            if any(_find(parent, v) == _find(parent, u) for u in explored):
+                continue
+            explored.append(v)
+            for enc, order in _leaves(neigh, _individualize(cells, target, v)):
+                if enc == zeta_enc:
+                    record(_leaf_map(zeta, order))
+                    break
+                if enc == best_enc:
+                    record(_leaf_map(best, order))
+                elif enc < best_enc:
+                    best_enc, best = enc, order
+        # Schreier search for one automorphism per vertex of vd's orbit
+        trans = {vd: identity}
+        queue = [vd]
+        for w in queue:
+            t = trans[w]
+            for perm in gens:
+                x = perm[w]
+                if x not in trans:
+                    trans[x] = perm if t is identity else tuple(perm[y] for y in t)
+                    queue.append(x)
+        levels.insert(0, tuple(trans.values()))
+    return best_enc, best, tuple(gens), tuple(levels)
 
 
 def _initial_cells(sizes: Sequence[int]) -> list[list[int]]:
@@ -414,29 +414,27 @@ def _initial_cells(sizes: Sequence[int]) -> list[list[int]]:
 
 @lru_cache(maxsize=4096)
 def _canonical_data(g: Graph):
-    """(code bytes, twin classes, stab, trans).
+    """(code bytes, twin classes, gens, levels).
 
     The code comes from the orbit-pruned search `_ir_search` on the
-    twin-reduced graph, colored by class size.  stab and trans describe the
+    twin-reduced graph, colored by class size.  gens generate the
     color-preserving automorphisms of the reduced graph (vertex i stands for
-    classes[i]) as a stabilizer times a transversal: each one is t∘s for
-    exactly one t in trans and s in stab, so the group is never listed here.
-    Cached per graph value, least recently used first out; all consumers
-    below share this computation.
+    classes[i]), and levels holds a transversal for each level of the
+    search's first path, a base: the group is {t_0∘t_1∘...} and is never
+    listed here.  Cached per graph value, least recently used first out;
+    all consumers below share this computation.
     """
     if g.n > MAX_CANONICAL_ORDER:
         raise GraphError(
             f"order {g.n} exceeds the canonical-form limit {MAX_CANONICAL_ORDER}"
         )
     reduced, sizes, classes = _reduce_twins(g)
-    if not reduced:
-        return (bytes([0, 0]), classes, [()], [()])
-    enc, best, stab, trans = _ir_search(reduced, _initial_cells(sizes))
+    enc, best, gens, levels = _ir_search(reduced, _initial_cells(sizes))
     k = len(reduced)
     head = bytes([g.n, k]) + bytes(sizes[v] for v in best)
     rowbytes = (k + 7) // 8
     body = b"".join(row.to_bytes(rowbytes, "big") for row in enc)
-    return (head + body, classes, stab, trans)
+    return (head + body, classes, gens, levels)
 
 
 def canonical_code(g: Graph) -> bytes:
@@ -461,11 +459,26 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 def group_order(g: Graph) -> int:
     """|Aut(g)| without listing the group."""
-    _, classes, stab, trans = _canonical_data(g)
-    count = len(trans) * len(stab)
-    for cls in classes:
-        count *= factorial(len(cls))
-    return count
+    _, classes, _, levels = _canonical_data(g)
+    return prod(map(len, levels)) * prod(factorial(len(cls)) for cls in classes)
+
+
+def _lift(classes, ra, pools, perm: list[int], out: list):
+    """Append to out each lift of the reduced automorphism ra: for every
+    class i, the members of classes[i], in each order of pools[i], go onto
+    classes[ra[i]] in order.  perm is scratch of length n, filled in place."""
+
+    def build(i: int):
+        if i == len(classes):
+            out.append(tuple(perm))
+            return
+        dst = classes[ra[i]]
+        for arrangement in pools[i]:
+            for s, d in zip(arrangement, dst):
+                perm[s] = d
+            build(i + 1)
+
+    build(0)
 
 
 def automorphism_group(g: Graph) -> list[tuple[int, ...]]:
@@ -482,33 +495,23 @@ def automorphism_group(g: Graph) -> list[tuple[int, ...]]:
     size = group_order(g)
     if size > MAX_GROUP_SIZE:
         raise GraphError(f"automorphism group of size {size} is too large to list")
-    _, classes, stab, trans = _canonical_data(g)
-    reduced_autos = [tuple(t[x] for x in s) for t in trans for s in stab]
-    class_perm_pools = [list(permutations(cls)) for cls in classes]
-    perms = []
-
-    def build(ra: tuple[int, ...], pool_idx: int, perm: list[int]):
-        if pool_idx == len(classes):
-            perms.append(tuple(perm))
-            return
-        src = classes[pool_idx]
-        dst = classes[ra[pool_idx]]
-        for arrangement in class_perm_pools[pool_idx]:
-            # arrangement is an ordering of src members; map them onto dst in order
-            for s, d in zip(arrangement, dst):
-                perm[s] = d
-            build(ra, pool_idx + 1, perm)
-
+    _, classes, _, levels = _canonical_data(g)
+    reduced_autos = [tuple(range(len(classes)))]
+    for level in reversed(levels):
+        if len(level) > 1:
+            reduced_autos = [tuple(t[x] for x in p) for t in level for p in reduced_autos]
+    pools = [list(permutations(cls)) for cls in classes]
+    perms: list[tuple[int, ...]] = []
     scratch = [0] * g.n
     for ra in reduced_autos:
-        build(ra, 0, scratch)
+        _lift(classes, ra, pools, scratch, perms)
     perms.sort()
     return perms
 
 
 def _aut_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Generating set for Aut(g): twin-class transpositions + lifted stab and trans."""
-    _, classes, stab, trans = _canonical_data(g)
+    """Generating set for Aut(g): twin-class transpositions + lifted reduced gens."""
+    _, classes, reduced_gens, _ = _canonical_data(g)
     gens = []
     identity = list(range(g.n))
     for cls in classes:
@@ -516,12 +519,10 @@ def _aut_generators(g: Graph) -> list[tuple[int, ...]]:
             perm = identity[:]
             perm[a], perm[b] = b, a
             gens.append(tuple(perm))
-    for ra in stab + trans:
-        perm = identity[:]
-        for i, cls in enumerate(classes):
-            for s, d in zip(cls, classes[ra[i]]):
-                perm[s] = d
-        gens.append(tuple(perm))
+    plain = [[cls] for cls in classes]
+    scratch = [0] * g.n
+    for ra in reduced_gens:
+        _lift(classes, ra, plain, scratch, gens)
     return gens
 
 

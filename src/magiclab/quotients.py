@@ -150,14 +150,17 @@ def quotient_from_json(text: str) -> QuotientGraph:
     try:
         edges = []
         for e in data["edges"]:
-            if not isinstance(e, list) or len(e) != 3:
-                raise TypeError(f"expected an edge [a, b, color], got {e!r}")
+            if not isinstance(e, list) or len(e) != 3 or not isinstance(e[2], str):
+                raise TypeError(f"expected an edge [a, b, color string], got {e!r}")
             edges.append((*_json_edge(e[:2]), e[2]))
+        central = data.get("central", False)
+        if type(central) is not bool:
+            raise TypeError(f"expected central to be true or false, got {central!r}")
         return QuotientGraph(
             _json_int(data["n"]),
             edges,
             [_json_int(s) for s in data.get("semiedges", ())],
-            data.get("central", False),
+            central,
         )
     except (KeyError, TypeError) as exc:
         raise QuotientError(f"quotient JSON lacks a field or has a wrong type: {exc}") from exc

@@ -382,12 +382,6 @@ def _degenerate_wreath_label_graphs(n: int) -> list[LabelGraph]:
     """
     if n % 2 or n < 6:
         return []
-    if n > DEGENERATE_CLOSED_FORM_CAP:
-        raise SearchError(
-            f"degenerate class generation is factorial in n/2; capped at order "
-            f"{DEGENERATE_CLOSED_FORM_CAP} (got {n}); set require_nondegenerate "
-            f"for larger orders"
-        )
     m = n // 2
     mags = [2 * i + 1 for i in range(m)]
     first = mags[-1]
@@ -407,11 +401,18 @@ def _degenerate_wreath_label_graphs(n: int) -> list[LabelGraph]:
 
 def _sr_label_graphs(n: int, opts: SearchOptions) -> Iterator[LabelGraph]:
     """Unverified self-reverse label graphs of order n: the quotient stream,
-    then (when allowed) the closed-form degenerate classes."""
+    then (when allowed) the closed-form degenerate classes.  Every option is
+    checked before the first label graph is searched for."""
     if n < 5:
         raise SearchError("self-reverse enumeration needs order >= 5")
     if not opts.require_self_reverse:
         raise SearchError("self-reverse enumeration requires the self-reverse flag")
+    if not opts.require_nondegenerate and n % 2 == 0 and n > DEGENERATE_CLOSED_FORM_CAP:
+        raise SearchError(
+            f"degenerate class generation is factorial in n/2; capped at order "
+            f"{DEGENERATE_CLOSED_FORM_CAP} (got {n}); set require_nondegenerate "
+            f"for larger orders"
+        )
     yield from _QuotientSearch(n, _deadline(opts)).run()
     if not opts.require_nondegenerate:
         yield from _degenerate_wreath_label_graphs(n)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -157,6 +158,9 @@ class TestQuotientLift:
     @pytest.mark.parametrize("text", [
         '{"n": 8, "edges": [[0, "a"]]}',
         '{"n": 8.0, "edges": [[1, 3, "solid"]]}',
+        '{"n": 8, "edges": [], "central": "no"}',
+        '{"n": 8, "edges": [], "central": 0}',
+        '{"n": 8, "edges": [[1, 3, 0]]}',
     ])
     def test_lift_non_integer_json(self, capsys, tmp_path, text):
         q = tmp_path / "q.json"
@@ -230,6 +234,13 @@ class TestEnumerate:
                            "--time-limit", "0.05")
         assert code == 3
         assert json.loads(out)["complete"] is False
+
+    def test_degenerate_cap_exits_before_search(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(capsys, "enumerate", "--order", "22")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "require_nondegenerate" in err
+        assert time.monotonic() - start < 1.0
 
     def test_all_dm(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--order", "10", "--all-dm")

@@ -1,6 +1,8 @@
 import hashlib
 import random
+import time
 from itertools import combinations, islice, permutations
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +40,42 @@ def cycle(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def praeger_xu(r: int) -> Graph:
+    """The Praeger-Xu graph C(2, r, 2): vertex 4i + x stands for (i, x), i mod
+    r and x mod 4, and (i, x) ~ (i + 1, (2x + y) mod 4) for y in {0, 1}.
+    Tetravalent, twin-free, |Aut| = 2^r * 2r for r >= 5."""
+    return Graph(4 * r, [
+        (4 * i + x, 4 * ((i + 1) % r) + (2 * x + y) % 4)
+        for i in range(r) for x in range(4) for y in (0, 1)
+    ])
+
+
+def renumbered(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return apply_permutation(g, perm)
+
+
+class RefineBudget:
+    """Counts graphs._refine calls and raises past the bound, so a search
+    that does not prune fails fast instead of running to the end."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.bound = 0, 0
+        refine = graphs._refine
+
+        def counted(*args):
+            self.calls += 1
+            if self.calls > self.bound:
+                raise AssertionError(f"more than {self.bound} refinements")
+            return refine(*args)
+
+        monkeypatch.setattr(graphs, "_refine", counted)
+
+    def start(self, bound: int):
+        self.calls, self.bound = 0, bound
 
 
 class TestConstruction:
@@ -174,6 +212,42 @@ class TestCanonicalForm:
         assert len(graphs) == 4200
         assert len({canonical_code(g) for g in graphs}) == 1
         assert _canonical_data.cache_info().currsize <= 4096
+
+
+class TestPruningAtEveryLevel:
+    """Orbit pruning below the root: graphs whose vertex stabilizers are
+    large, with no twins to reduce, cost few refinements."""
+
+    def test_praeger_xu_group_orders(self, monkeypatch):
+        budget = RefineBudget(monkeypatch)
+        for r in range(4, 17):
+            budget.start(3_000)
+            order = group_order(renumbered(praeger_xu(r), r))
+            assert order == (384 if r == 4 else 2**r * 2 * r)
+
+    def test_praeger_xu_16(self, monkeypatch):
+        budget = RefineBudget(monkeypatch)
+        g = renumbered(praeger_xu(16), 0)
+        assert g.is_regular(4) and g.is_connected()
+        budget.start(3_000)
+        _canonical_data.__wrapped__(g)
+        start = time.process_time()
+        h = renumbered(praeger_xu(16), 1)
+        assert is_vertex_transitive(h) and is_edge_transitive(h)
+        assert time.process_time() - start < 1.0
+        assert canonical_code(h) == canonical_code(g)
+
+    def test_complete_graph(self, monkeypatch):
+        budget = RefineBudget(monkeypatch)
+        k12 = Graph(12, combinations(range(12), 2))
+        budget.start(200)
+        code = _canonical_data.__wrapped__(k12)[0]
+        # no twins; every row is adjacent to all positions but its own
+        rows = [(1 << 12) - 1 - (1 << (11 - i)) for i in range(12)]
+        assert code == bytes([12, 12] + [1] * 12) + b"".join(r.to_bytes(2, "big") for r in rows)
+        assert group_order(k12) == factorial(12)
+        k8 = Graph(8, combinations(range(8), 2))
+        assert group_order(k8) == factorial(8) == len(automorphism_group(k8))
 
 
 class TestCanonicalFormAgainstNetworkx:

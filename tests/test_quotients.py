@@ -146,6 +146,16 @@ class TestJson:
         with pytest.raises(QuotientError):
             quotient_from_json(text)
 
+    def test_central_and_colors_are_strict(self):
+        import json
+        data = json.loads(quotient_to_json(QuotientGraph(21, ODD21_EDGES, central=True)))
+        assert quotient_from_json(json.dumps(data)).central is True
+        for central in ("no", 0, 1, None):
+            with pytest.raises(QuotientError, match="central"):
+                quotient_from_json(json.dumps({**data, "central": central}))
+        with pytest.raises(QuotientError, match="color"):
+            quotient_from_json('{"n": 8, "edges": [[1, 3, 1]]}')
+
 
 class TestDot:
     def test_w4_shape(self):

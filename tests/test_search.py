@@ -74,6 +74,19 @@ class TestEnumerateSrSmall:
         with pytest.raises(SearchError):
             enumerate_sr(4)
 
+    def test_degenerate_cap_checked_before_search(self):
+        # the order-22 quotient search alone takes seconds
+        for run in (lambda: enumerate_sr(22), lambda: next(iter_sr_pairs(22))):
+            start = time.monotonic()
+            with pytest.raises(SearchError, match="capped at order 20"):
+                run()
+            assert time.monotonic() - start < 1.0
+
+    def test_odd_order_above_cap_is_searched(self):
+        # odd orders have no degenerate classes, so the cap does not apply
+        _, rep = enumerate_sr(21, SearchOptions(time_limit=0.05))
+        assert not rep.complete
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("n", [6, 8, 10, 12])
