@@ -7,7 +7,7 @@ steps of 8, so everything odd from 21 is reachable, and nothing below is.
 The same chains, started from non-wreath bases, settle the non-degenerate
 and non-wreath variants.
 
-First run builds the base cache (data/bases) in a few seconds.
+Each base is searched for once per process, about a second for all of them.
 """
 
 from magiclab import witness, witness_non_wreath, witness_nondegenerate

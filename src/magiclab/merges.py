@@ -12,34 +12,28 @@ All three witness functions share one extension chain: a base instance of
 order b = n (mod 8) grows to order n by merging in the 8-vertex
 complete-bipartite block (n - b) / 8 times, each time along a quotient edge
 whose labels differ by 4.  Bases are the enumerator's first non-wreath
-instances with such an edge, cached on disk; a cached base that does not
-parse or lacks one of those properties is rebuilt.  A chain that ends on a
-wreath graph moves on to the next enumerated base, once through the stream.
+instances with such an edge, found once per process and memoized.  A chain
+that ends on a wreath graph moves on to the next enumerated base, once
+through the stream.
 Wreath graphs are recognised by open twins, which needs no canonical form
 and works at every order.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
-from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .families import wreath, wreath_natural_labeling, wreath_nondegenerate_labeling
-from .graphs import Graph, graph_from_json, graph_to_json
+from .graphs import Graph
 from .labelings import (
     Labeling,
     is_alternating,
     is_balanced,
     is_distance_magic,
-    labeling_from_json,
-    labeling_to_json,
 )
 from .quotients import SOLID, quotient
 from . import search as _search
@@ -257,15 +251,6 @@ def extend_by_w4(g: Graph, l: Labeling, a: int, b: int) -> tuple[Graph, Labeling
 BASE_ORDERS = (18, 20, 21, 23, 24, 25, 27, 30)
 
 
-_DEFAULT_BASE_CACHE = Path(__file__).resolve().parents[2] / "data" / "bases"
-
-
-def _base_cache_dir() -> Path:
-    """MAGICLAB_BASE_CACHE if set, else data/bases of the checkout, whatever
-    the working directory."""
-    return Path(os.environ.get("MAGICLAB_BASE_CACHE", _DEFAULT_BASE_CACHE))
-
-
 def _extensible_edge(g: Graph, l: Labeling) -> Optional[tuple[int, int]]:
     """Lexicographically first solid quotient edge with semiedges at both
     ends and labels differing by 4, if any."""
@@ -297,59 +282,13 @@ def _candidates(order: int) -> Iterator[tuple[Graph, Labeling]]:
             yield g, l
 
 
+@lru_cache(maxsize=len(BASE_ORDERS))
 def _find_base(order: int) -> tuple[Graph, Labeling]:
-    """The first candidate of the order: the base its cache file holds."""
+    """The first candidate of the order, searched for once per process."""
     base = next(_candidates(order), None)
     if base is None:
         raise MergeError(f"no extensible base instance exists at order {order}")
     return base
-
-
-@lru_cache(maxsize=len(BASE_ORDERS))
-def _parse_base(text: str, order: int) -> Optional[tuple[Graph, Labeling]]:
-    """The pair a base file's text holds, or None when the text does not
-    parse or the pair lacks a property _find_base selects for.  Memoized on
-    the text, so repeated loads of an unchanged file are checked once."""
-    try:
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            return None
-        g = graph_from_json(json.dumps(data.get("graph")))
-        l = labeling_from_json(json.dumps(data.get("labeling")))
-        _verified(g, l, nondegenerate=True, non_wreath=True)
-    except ValueError:
-        return None
-    if g.n != order or _extensible_edge(g, l) is None:
-        return None
-    return g, l
-
-
-def _load_base(order: int) -> tuple[Graph, Labeling]:
-    """The base of the order: read from the cache when it holds a valid
-    one, else rebuilt and written back."""
-    cache = _base_cache_dir()
-    path = cache / f"base_{order}.json"
-    if path.exists():
-        base = _parse_base(path.read_text(), order)
-        if base is not None:
-            return base
-    g, l = _find_base(order)
-    cache.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "graph": json.loads(graph_to_json(g)),
-        "labeling": json.loads(labeling_to_json(l)),
-    }
-    # write beside the target and rename, so an interrupted run never
-    # leaves a truncated base behind
-    fd, tmp = tempfile.mkstemp(prefix=f".base_{order}.", suffix=".tmp", dir=cache)
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(json.dumps(payload))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return g, l
 
 
 def _extend_chain(g: Graph, l: Labeling, times: int) -> tuple[Graph, Labeling]:
@@ -361,22 +300,22 @@ def _extend_chain(g: Graph, l: Labeling, times: int) -> tuple[Graph, Labeling]:
     return g, l
 
 
-def _verified(g: Graph, l: Labeling, nondegenerate: bool = False, non_wreath: bool = False):
+def _verified(g: Graph, l: Labeling, nondegenerate: bool = False):
     opts = _search.SearchOptions(require_nondegenerate=nondegenerate)
-    if not _search._verify_emission(g, l, opts) or (non_wreath and _is_wreath(g)):
+    if not _search._verify_emission(g, l, opts):
         raise MergeError("witness construction produced an invalid instance")
     return g, l
 
 
 def _chain_witness(n: int) -> tuple[Graph, Labeling]:
     """Extend the base of the largest order b <= n with b = n (mod 8) by
-    (n - b) / 8 blocks.  The cached base is tried first, then the later
+    (n - b) / 8 blocks.  The base is tried first, then the later
     candidates of order b, until a chain ends on a non-wreath graph."""
     b = max(o for o in BASE_ORDERS if o <= n and (n - o) % 8 == 0)
-    for g, l in chain([_load_base(b)], islice(_candidates(b), 1, None)):
+    for g, l in chain([_find_base(b)], islice(_candidates(b), 1, None)):
         g, l = _extend_chain(g, l, (n - b) // 8)
         if not _is_wreath(g):
-            return _verified(g, l, nondegenerate=True, non_wreath=True)
+            return _verified(g, l, nondegenerate=True)
     raise MergeError(f"every extension chain from order {b} ends on a wreath graph")
 
 

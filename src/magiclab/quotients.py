@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, _json_edge, _json_int
+from .graphs import Graph
 from .labelings import (
     Labeling,
     is_degenerate,
@@ -32,12 +32,21 @@ class QuotientError(ValueError):
     """Quotient precondition failure or an invariant violation."""
 
 
+def _typed(x, kind: type, what: str):
+    """x itself if its type is exactly kind (so a bool is no int label);
+    QuotientError naming the type otherwise."""
+    if type(x) is not kind:
+        raise QuotientError(f"{what} must be {kind.__name__}, got {type(x).__name__} {x!r}")
+    return x
+
+
 class QuotientGraph:
     """Labeled half-order graph with colored edges and semiedges.
 
     Vertices are exactly the nonnegative members of label_set(n).  The
-    constructor normalizes but does not validate; `validate()` enforces the
-    full invariant set and is called by `lift`.
+    constructor checks argument types and sorts the edges, but does not
+    validate; `validate()` enforces the full invariant set and is called by
+    `lift`.
     """
 
     __slots__ = ("n", "edges", "semiedges", "central", "_key")
@@ -51,12 +60,12 @@ class QuotientGraph:
     ):
         norm = []
         for a, b, color in edges:
-            a, b = int(a), int(b)
-            norm.append((min(a, b), max(a, b), str(color)))
-        self.n = int(n)
+            a, b = _typed(a, int, "label"), _typed(b, int, "label")
+            norm.append((min(a, b), max(a, b), _typed(color, str, "edge color")))
+        self.n = _typed(n, int, "order")
         self.edges = tuple(sorted(set(norm)))
-        self.semiedges = frozenset(int(s) for s in semiedges)
-        self.central = bool(central)
+        self.semiedges = frozenset(_typed(s, int, "semiedge label") for s in semiedges)
+        self.central = _typed(central, bool, "central flag")
         self._key = (self.n, self.edges, tuple(sorted(self.semiedges)), self.central)
 
     @property
@@ -150,18 +159,10 @@ def quotient_from_json(text: str) -> QuotientGraph:
     try:
         edges = []
         for e in data["edges"]:
-            if not isinstance(e, list) or len(e) != 3 or not isinstance(e[2], str):
-                raise TypeError(f"expected an edge [a, b, color string], got {e!r}")
-            edges.append((*_json_edge(e[:2]), e[2]))
-        central = data.get("central", False)
-        if type(central) is not bool:
-            raise TypeError(f"expected central to be true or false, got {central!r}")
-        return QuotientGraph(
-            _json_int(data["n"]),
-            edges,
-            [_json_int(s) for s in data.get("semiedges", ())],
-            central,
-        )
+            if not isinstance(e, list) or len(e) != 3:
+                raise TypeError(f"expected an edge [a, b, color], got {e!r}")
+            edges.append(tuple(e))
+        return QuotientGraph(data["n"], edges, data.get("semiedges", ()), data.get("central", False))
     except (KeyError, TypeError) as exc:
         raise QuotientError(f"quotient JSON lacks a field or has a wrong type: {exc}") from exc
 

@@ -830,15 +830,27 @@ def table1_report(
     n_max: int,
     opts: SearchOptions = SearchOptions(require_nondegenerate=True),
 ) -> Table1Report:
-    """Rows (n, #SR, #gr, #VT) of non-degenerate self-reverse classes."""
+    """Rows (n, #SR, #gr, #VT) of non-degenerate self-reverse classes.
+
+    opts.time_limit bounds the whole table: each order gets the time left.
+    An incomplete table stops at the order the limit cut short, and its last
+    row holds the partial counts of that order, zeros when no time was left
+    to start it.
+    """
     if not (5 <= n_min <= n_max):
         raise SearchError("range must satisfy 5 <= n_min <= n_max")
     opts = replace(opts, require_nondegenerate=True, require_self_reverse=True)
     start = time.monotonic()
+    deadline = _deadline(opts)
     rows = []
     complete = True
     for n in range(n_min, n_max + 1):
-        _, report = enumerate_sr(n, opts)
+        left = None if deadline is None else deadline - time.monotonic()
+        if left is not None and left <= 0:
+            rows.append((n, 0, 0, 0))
+            complete = False
+            break
+        _, report = enumerate_sr(n, replace(opts, time_limit=left))
         rows.append((n, report.sr_count, report.iso_class_count, report.vt_count))
         if not report.complete:
             complete = False

@@ -265,3 +265,9 @@ class TestTable1Cli:
     def test_seed_accepted(self, capsys):
         code, out, _ = run(capsys, "--seed", "7", "table1", "16..16")
         assert code == 0
+
+    def test_timed_out_row_is_not_graded(self, capsys):
+        code, out, _ = run(capsys, "table1", "19..19", "--time-limit", "0.05")
+        assert code == 3
+        assert "n=19: PASS" not in out and "n=19: FAIL" not in out
+        assert "n=19: PARTIAL" in out

@@ -17,7 +17,6 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    env["MAGICLAB_BASE_CACHE"] = str(tmp_path / "bases")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,

@@ -1,7 +1,5 @@
 import hashlib
-import json
 import os
-import shutil
 from collections import Counter
 from itertools import islice
 from pathlib import Path
@@ -50,7 +48,7 @@ from magiclab.merges import (
 from magiclab.quotients import SOLID, quotient
 from magiclab.search import SearchOptions, enumerate_dm, iter_sr_pairs
 
-COMMITTED_BASES = Path(__file__).resolve().parents[1] / "data" / "bases"
+CHECKOUT = Path(__file__).resolve().parents[1]
 
 
 def w4_pair():
@@ -379,11 +377,8 @@ class TestChainRetry:
     base of its order, once through the candidate stream."""
 
     @pytest.fixture
-    def warm_cache(self, tmp_path, monkeypatch):
-        cache = tmp_path / "bases"
-        cache.mkdir()
-        shutil.copy(COMMITTED_BASES / "base_18.json", cache)
-        monkeypatch.setenv("MAGICLAB_BASE_CACHE", str(cache))
+    def warm_cache(self):
+        merges._find_base(18)
 
     def test_rejected_chain_moves_to_next_candidate(self, warm_cache, monkeypatch):
         first, second = islice(merges._candidates(18), 2)
@@ -435,18 +430,26 @@ class TestMergeIdentitiesAgainstEnumeration:
 
 class TestEmissionOrder:
     """The search's emission order is part of its output: the first
-    extensible instance of each order is a cached witness base.  Sorted-set
+    extensible instance of each order is a witness base.  Sorted-set
     checks cannot see a reordering; these can."""
+
+    # sha256 over graph_to_json + labeling_to_json of each order's base
+    BASE_DIGESTS = {
+        18: "c06d4e628bf7afeb598352a83fbdd0f099b17a8010249d7e253a4d35e131cfbf",
+        20: "776314cfcfbd5ec149573881cecb1f5f6744f52d9905bd3b0eaafcc5c768b504",
+        21: "abd32845cac72bfed2dc6e4332212ca60c173fbd1d432521bfa394bbe6506cfa",
+        23: "67dd9d1bc2c0ed4c1cec005579ee8dcdc052e9f7f33200d0a2ef3d1c5aed5e82",
+        24: "9369ded18fdc36ef83c8dcbbd80e47da5fa26e8cfd039ac13030828bf318cbf6",
+        25: "680739146a0056a88b45aade3310f99a4a51db2f2283ccdaa8957f81ba510e3e",
+        27: "2c8ca4371eefb4c2f8bc7ac19a3c442e2782004c7f1134964400860623750e91",
+        30: "d860649f4ac9023b56377d426ccff54f1ea1eded7bfcbe038a2da1b09df7f97b",
+    }
 
     @pytest.mark.parametrize("order", BASE_ORDERS)
     def test_find_base_matches_committed_base(self, order):
         g, l = _find_base(order)
-        got = {
-            "graph": json.loads(graph_to_json(g)),
-            "labeling": json.loads(labeling_to_json(l)),
-        }
-        committed = json.loads((COMMITTED_BASES / f"base_{order}.json").read_text())
-        assert got == committed
+        text = graph_to_json(g) + labeling_to_json(l)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.BASE_DIGESTS[order]
 
     # sha256 over label_graph_to_json of each emitted pair, one per line, in
     # emission order
@@ -467,34 +470,8 @@ class TestEmissionOrder:
 class TestBaseCache:
     def test_default_cache_ignores_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("MAGICLAB_BASE_CACHE", raising=False)
+        merges._find_base.cache_clear()
         g, l = witness(21)
         assert g.n == 21 and is_self_reverse(g, l)
-        assert not (tmp_path / "data").exists()
-
-    def test_cold_build_leaves_only_bases(self, tmp_path, monkeypatch):
-        cache = tmp_path / "bases"
-        monkeypatch.setenv("MAGICLAB_BASE_CACHE", str(cache))
-        witness(21)
-        assert sorted(os.listdir(cache)) == ["base_21.json"]
-        assert json.loads((cache / "base_21.json").read_text()) == json.loads(
-            (COMMITTED_BASES / "base_21.json").read_text()
-        )
-
-    @pytest.mark.parametrize("corrupt", ["wrong_order", "truncated"])
-    def test_invalid_cached_base_is_rebuilt(self, tmp_path, monkeypatch, corrupt):
-        cache = tmp_path / "bases"
-        cache.mkdir()
-        target = cache / "base_21.json"
-        if corrupt == "wrong_order":
-            shutil.copy(COMMITTED_BASES / "base_23.json", target)
-        else:
-            text = (COMMITTED_BASES / "base_21.json").read_text()
-            target.write_text(text[: len(text) // 2])
-        monkeypatch.setenv("MAGICLAB_BASE_CACHE", str(cache))
-        g, l = witness(21)
-        assert g.n == 21 and is_self_reverse(g, l)
-        assert sorted(os.listdir(cache)) == ["base_21.json"]
-        assert json.loads(target.read_text()) == json.loads(
-            (COMMITTED_BASES / "base_21.json").read_text()
-        )
+        assert os.listdir(tmp_path) == []
+        assert not (CHECKOUT / "data").exists()

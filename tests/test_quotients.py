@@ -67,6 +67,18 @@ class TestQuotientConstruction:
         central_edges = [(a, b) for a, b, c in q2.edges if 0 in (a, b)]
         assert sorted(central_edges) == [(0, 2), (0, 18)]
 
+    @pytest.mark.parametrize("args, named", [
+        ((8, [], (), "no"), "central flag must be bool, got str"),
+        ((8, [(1, 3, 1)]), "edge color must be str, got int"),
+        ((8, [(1, 3.0, SOLID)]), "label must be int, got float"),
+        ((8, [(1, True, SOLID)]), "label must be int, got bool"),
+        ((8, [], ("1",)), "semiedge label must be int, got str"),
+        (("8",), "order must be int, got str"),
+    ])
+    def test_arguments_are_not_coerced(self, args, named):
+        with pytest.raises(QuotientError, match=named):
+            QuotientGraph(*args)
+
 
 class TestLift:
     def test_w4_round_trip(self):

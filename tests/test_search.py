@@ -1,8 +1,11 @@
 import hashlib
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
+
+from magiclab import search
 
 from magiclab.families import cartesian_cycles, circulant, wreath
 from magiclab.graphs import Graph, apply_permutation, are_isomorphic, canonical_code
@@ -323,6 +326,26 @@ class TestTable1:
     def test_bad_range(self):
         with pytest.raises(SearchError):
             table1_report(4, 10)
+
+    def test_one_deadline_for_the_table(self, monkeypatch):
+        # every order takes 0.2 s of a fake clock; each gets the time left
+        # of one 0.5 s budget, and the order with none left is a zero row
+        clock = [100.0]
+        limits = []
+
+        def fake_enumerate_sr(n, opts):
+            limits.append(opts.time_limit)
+            clock[0] += 0.2
+            return [], EnumerationReport(n, 1, 1, 1, True)
+
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(search, "enumerate_sr", fake_enumerate_sr)
+        table = table1_report(16, 21, SearchOptions(time_limit=0.5))
+        assert limits == pytest.approx([0.5, 0.3, 0.1])
+        assert table.rows == [(16, 1, 1, 1), (17, 1, 1, 1), (18, 1, 1, 1), (19, 0, 0, 0)]
+        assert not table.complete
+        limits.clear()
+        assert table1_report(16, 18).complete and limits == [None] * 3
 
 
 class TestReportSemantics:
