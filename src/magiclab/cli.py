@@ -366,9 +366,6 @@ def main(argv=None) -> int:
         # (GraphError, LabelingError, MergeError, ... are ValueErrors).
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except search.SearchTimeLimit:
-        print("error: time limit exceeded", file=sys.stderr)
-        return EXIT_PARTIAL
 
 
 if __name__ == "__main__":

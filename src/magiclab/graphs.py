@@ -27,8 +27,7 @@ from math import factorial, prod
 from typing import Iterable, Sequence
 
 MAX_CANONICAL_ORDER = 64
-MAX_GROUP_ORDER = 32
-MAX_GROUP_SIZE = 2_000_000
+MAX_LISTING_SIZE = 64_000_000  # vertex images in one group listing, n * |Aut|
 
 
 class GraphError(ValueError):
@@ -485,16 +484,14 @@ def automorphism_group(g: Graph) -> list[tuple[int, ...]]:
     """Complete list of adjacency-preserving permutations, identity included.
 
     Each permutation is an image tuple (vertex v maps to perm[v]), and the
-    list is sorted.  Limited to order MAX_GROUP_ORDER and to groups of at
-    most MAX_GROUP_SIZE elements.
+    list is sorted.  Limited to listings of at most MAX_LISTING_SIZE vertex
+    images, g.n * |Aut(g)|.
     """
-    if g.n > MAX_GROUP_ORDER:
-        raise GraphError(
-            f"order {g.n} exceeds the group-listing limit {MAX_GROUP_ORDER}"
-        )
     size = group_order(g)
-    if size > MAX_GROUP_SIZE:
-        raise GraphError(f"automorphism group of size {size} is too large to list")
+    if g.n * size > MAX_LISTING_SIZE:
+        raise GraphError(
+            f"automorphism group of size {size} on {g.n} vertices is too large to list"
+        )
     _, classes, _, levels = _canonical_data(g)
     reduced_autos = [tuple(range(len(classes)))]
     for level in reversed(levels):

@@ -7,7 +7,9 @@ pair adjacent within itself gets a semiedge; for odd order the vertex labeled
 0 keeps one solid edge to each of its two neighbor pairs.  The original
 graph is the two-fold cover obtained by reading solid edges as voltage 0 and
 dashed edges (and semiedges) as voltage 1, so `lift` inverts `quotient`
-exactly, up to the fixed ascending-label vertex order.
+exactly, up to the fixed ascending-label vertex order.  `lift` is the one
+place a quotient is unfolded: the self-reverse enumerator searches quotients
+and lifts each one it finds through it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph
 from .labelings import (
+    LabelGraph,
     Labeling,
     is_degenerate,
     is_distance_magic,
@@ -204,29 +207,22 @@ def quotient(g: Graph, l: Labeling) -> QuotientGraph:
 def lift(q: QuotientGraph) -> tuple[Graph, Labeling]:
     """Two-fold cover of a valid quotient, with its labeling.
 
-    Vertex order is ascending label order of label_set(n).  Solid edges lift
-    to same-sign pairs, dashed to cross-sign pairs, a semiedge at a to the edge
-    {+a, -a}, and each central edge {0, a} to both {0, +a} and {0, -a}.  The
-    result is distance magic and self-reverse by construction; connectivity
-    is not implied and must be checked separately.
+    Solid edges lift to same-sign pairs, dashed to cross-sign pairs, a
+    semiedge at a to the edge {+a, -a}, and each central edge {0, a} to both
+    {0, +a} and {0, -a}; LabelGraph.to_graph numbers the vertices in
+    ascending label order.  The result is distance magic and self-reverse by
+    construction; connectivity is not implied and must be checked separately.
     """
     q.validate()
-    labs = label_set(q.n)
-    index = {lab: i for i, lab in enumerate(labs)}
-    edges = []
+    edges = [(s, -s) for s in q.semiedges]
     for a, b, color in q.edges:
         if a == 0:
-            edges.append((index[0], index[b]))
-            edges.append((index[0], index[-b]))
+            edges += [(0, b), (0, -b)]
         elif color == SOLID:
-            edges.append((index[a], index[b]))
-            edges.append((index[-a], index[-b]))
+            edges += [(a, b), (-a, -b)]
         else:
-            edges.append((index[a], index[-b]))
-            edges.append((index[-a], index[b]))
-    for s in q.semiedges:
-        edges.append((index[s], index[-s]))
-    return Graph(q.n, edges), Labeling(labs)
+            edges += [(a, -b), (-a, b)]
+    return LabelGraph(q.n, edges).to_graph()
 
 
 def export_dot(q: QuotientGraph) -> str:

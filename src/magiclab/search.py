@@ -13,8 +13,9 @@ partner involution and the direct label placement.  Each completes one
 position at a time on one explicit stack, and each position's chooser tests
 every candidate against the balance look-ahead before returning it, so no
 choice is applied only to be undone.  The searches run in the calling thread;
-emission order is deterministic.  Both enumerators pass their streams through
-one dedupe, verify, sort and classify step.
+emission order is deterministic.  Both enumerators pass their pairs, lifted
+from quotients by quotients.lift or unfolded from label graphs, through one
+verify, sort and classify step under the search's deadline.
 
 Degenerate self-reverse classes exist only on wreath graphs (a vertex
 adjacent to a full pair forces twin pairs everywhere), where every circular
@@ -40,6 +41,7 @@ from .labelings import (
     label_graph,
     label_set,
 )
+from .quotients import DASHED, SOLID, QuotientGraph, lift
 
 DM_ORDER_CAP = 16
 DEGENERATE_CLOSED_FORM_CAP = 20
@@ -78,11 +80,13 @@ class SearchOptions:
 class EnumerationReport:
     """Counts for one enumeration run.
 
-    sr_count is the number of distinct LabelGraphs emitted, iso_class_count
-    the number of distinct canonical codes among their underlying graphs,
-    vt_count how many of those classes are vertex-transitive.  Wall time and
-    the options echo are excluded from equality so that reports from
-    different thread budgets compare equal.
+    sr_count is the number of verified labeling classes found,
+    iso_class_count the number of distinct canonical codes among their
+    underlying graphs, vt_count how many of those classes are
+    vertex-transitive.  In an incomplete report each count covers only what
+    was found or classified before the deadline.  Wall time and the options
+    echo are excluded from equality so that reports from different thread
+    budgets compare equal.
     """
 
     order: int
@@ -106,6 +110,11 @@ class EnumerationReport:
 
 def _deadline(opts: SearchOptions) -> Optional[float]:
     return None if opts.time_limit is None else time.monotonic() + opts.time_limit
+
+
+def _check_deadline(deadline: Optional[float]):
+    if deadline is not None and time.monotonic() > deadline:
+        raise SearchTimeLimit
 
 
 # -- backtracking shared by the label-graph searches ---------------------------
@@ -200,8 +209,7 @@ class _Backtracker:
 
     def _expand(self, p: int) -> list:
         self.nodes += 1
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SearchTimeLimit
+        _check_deadline(self.deadline)
         return self._choices(p)
 
     def run(self) -> Iterator:
@@ -268,26 +276,11 @@ class _QuotientSearch(_Backtracker):
         self.edges: list[tuple[int, int, int]] = []
         self.bound = _bound_table(self.labs)
 
-    def _snapshot(self) -> LabelGraph:
-        labs = self.labs
-        lg_edges = []
-        for p, q, sig in self.edges:
-            a = labs[p]
-            if q == self.m:
-                lg_edges.append((0, a))
-                lg_edges.append((0, -a))
-            else:
-                b = labs[q]
-                if sig > 0:
-                    lg_edges.append((a, b))
-                    lg_edges.append((-a, -b))
-                else:
-                    lg_edges.append((a, -b))
-                    lg_edges.append((-a, b))
-        for p in range(self.m):
-            if self.semi[p]:
-                lg_edges.append((labs[p], -labs[p]))
-        return LabelGraph(self.n, lg_edges)
+    def _snapshot(self) -> QuotientGraph:
+        labs = [*self.labs, 0]  # position m is the central vertex
+        edges = [(labs[p], labs[q], SOLID if sig > 0 else DASHED) for p, q, sig in self.edges]
+        semi = [labs[p] for p in range(self.m) if self.semi[p]]
+        return QuotientGraph(self.n, edges, semi, self.central)
 
     def _apply(self, p: int, choice):
         s, picks = choice
@@ -371,7 +364,7 @@ def _verify_emission(g: Graph, l: Labeling, opts: SearchOptions) -> bool:
     return _labeling_ok(g, l, opts)
 
 
-def _degenerate_wreath_label_graphs(n: int) -> list[LabelGraph]:
+def _degenerate_wreath_label_graphs(n: int) -> Iterator[LabelGraph]:
     """All degenerate self-reverse label graphs of order n, in closed form.
 
     These exist only on wreath graphs, where consecutive positions carry a
@@ -381,12 +374,11 @@ def _degenerate_wreath_label_graphs(n: int) -> list[LabelGraph]:
     first; reflections are killed by ordering its two ring neighbors.
     """
     if n % 2 or n < 6:
-        return []
+        return
     m = n // 2
     mags = [2 * i + 1 for i in range(m)]
     first = mags[-1]
     rest = mags[:-1]
-    out = []
     for perm in permutations(rest):
         if perm[0] > perm[-1]:
             continue
@@ -395,14 +387,15 @@ def _degenerate_wreath_label_graphs(n: int) -> list[LabelGraph]:
         for i in range(m):
             a, b = ring[i], ring[(i + 1) % m]
             edges += [(a, b), (a, -b), (-a, b), (-a, -b)]
-        out.append(LabelGraph(n, edges))
-    return out
+        yield LabelGraph(n, edges)
 
 
-def _sr_label_graphs(n: int, opts: SearchOptions) -> Iterator[LabelGraph]:
-    """Unverified self-reverse label graphs of order n: the quotient stream,
-    then (when allowed) the closed-form degenerate classes.  Every option is
-    checked before the first label graph is searched for."""
+def _sr_candidates(
+    n: int, opts: SearchOptions, deadline: Optional[float]
+) -> Iterator[tuple[Graph, Labeling]]:
+    """Unverified self-reverse pairs of order n: the lift of each quotient
+    found, then (when allowed) the closed-form degenerate classes.  Every
+    option is checked before the first quotient is searched for."""
     if n < 5:
         raise SearchError("self-reverse enumeration needs order >= 5")
     if not opts.require_self_reverse:
@@ -413,9 +406,10 @@ def _sr_label_graphs(n: int, opts: SearchOptions) -> Iterator[LabelGraph]:
             f"{DEGENERATE_CLOSED_FORM_CAP} (got {n}); set require_nondegenerate "
             f"for larger orders"
         )
-    yield from _QuotientSearch(n, _deadline(opts)).run()
+    yield from map(lift, _QuotientSearch(n, deadline).run())
     if not opts.require_nondegenerate:
-        yield from _degenerate_wreath_label_graphs(n)
+        for lg in _degenerate_wreath_label_graphs(n):
+            yield lg.to_graph()
 
 
 def iter_sr_pairs(
@@ -423,58 +417,49 @@ def iter_sr_pairs(
 ) -> Iterator[tuple[Graph, Labeling]]:
     """Lazy single-threaded stream of verified self-reverse pairs.
 
-    Emission order is the deterministic search order, not sorted; use
-    enumerate_sr for the sorted, counted form.  Degenerate classes (when
-    allowed) follow the quotient-level stream.
+    Each pair is the lift of a quotient found by the search, in the
+    deterministic search order, not sorted; use enumerate_sr for the sorted,
+    counted form.  Degenerate classes (when allowed) follow the lifted
+    quotients.
     """
-    for lg in _sr_label_graphs(n, opts):
-        g, l = lg.to_graph()
+    for g, l in _sr_candidates(n, opts, _deadline(opts)):
         if _verify_emission(g, l, opts):
             yield g, l
 
 
-def _classify(pairs: list[tuple[Graph, Labeling]]) -> tuple[int, int]:
-    """(#isomorphism classes, #vertex-transitive classes) of the graphs."""
-    codes: dict[bytes, Graph] = {}
-    for g, _ in pairs:
-        codes.setdefault(canonical_code(g), g)
-    vt = sum(1 for g in codes.values() if is_vertex_transitive(g))
-    return len(codes), vt
-
-
 def _collect(
-    n: int, stream: Iterator[LabelGraph], opts: SearchOptions
+    n: int,
+    stream: Iterator[tuple[Graph, Labeling]],
+    opts: SearchOptions,
+    deadline: Optional[float],
 ) -> tuple[list[tuple[Graph, Labeling]], EnumerationReport]:
-    """One verified pair per distinct label graph of the stream, sorted by
-    label-graph encoding, plus the report.  When the time limit passes, the
-    classes found so far are kept and the report is marked incomplete."""
+    """The verified pairs of a stream that never repeats a label graph,
+    sorted by label-graph encoding, plus the report counting their graphs.
+    Once the deadline passes, verifying and classifying stop: the pairs
+    found so far are kept and the report is marked incomplete."""
     start = time.monotonic()
+    pairs = []
+    vt: dict[bytes, bool] = {}  # canonical code -> vertex-transitive
     complete = True
-    seen: set[LabelGraph] = set()
-    keyed = []
     try:
-        for lg in stream:
-            if lg in seen:
-                continue
-            seen.add(lg)
-            g, l = lg.to_graph()
+        for g, l in stream:
+            _check_deadline(deadline)
             if _verify_emission(g, l, opts):
-                keyed.append((lg.sort_key(), g, l))
+                pairs.append((g, l))
+        for g, _ in pairs:
+            _check_deadline(deadline)
+            code = canonical_code(g)
+            if code not in vt:
+                _check_deadline(deadline)
+                vt[code] = is_vertex_transitive(g)
     except SearchTimeLimit:
         complete = False
-    keyed.sort(key=lambda t: t[0])
-    result = [(g, l) for _, g, l in keyed]
-    iso, vt = _classify(result)
+    # vertices are numbered by ascending label, so edge lists sort as label graphs
+    pairs.sort(key=lambda p: p[0].edges())
     report = EnumerationReport(
-        order=n,
-        sr_count=len(result),
-        iso_class_count=iso,
-        vt_count=vt,
-        complete=complete,
-        elapsed=time.monotonic() - start,
-        options=opts,
+        n, len(pairs), len(vt), sum(vt.values()), complete, time.monotonic() - start, opts
     )
-    return result, report
+    return pairs, report
 
 
 def enumerate_sr(
@@ -483,14 +468,16 @@ def enumerate_sr(
     """All self-reverse distance magic labeling classes of connected
     tetravalent graphs of order n.
 
-    Returns one verified (Graph, Labeling) representative per distinct
-    LabelGraph, sorted by label-graph encoding, plus the report.  The search
-    runs in the calling thread; opts.thread_budget is accepted for
-    compatibility and does not change the work or the result.  When the
-    time limit passes, the classes found so far are returned and the report
-    is marked incomplete.
+    Returns one verified (Graph, Labeling) representative per class, the
+    lift of its quotient or a closed-form degenerate class, sorted by
+    label-graph encoding, plus the report.  The search runs in the calling
+    thread; opts.thread_budget is accepted for compatibility and does not
+    change the work or the result.  The time limit covers the search and the
+    classification: once it passes, the classes found so far are returned
+    and the report is marked incomplete.
     """
-    return _collect(n, _sr_label_graphs(n, opts), opts)
+    deadline = _deadline(opts)
+    return _collect(n, _sr_candidates(n, opts, deadline), opts, deadline)
 
 
 # -- all distance magic label graphs of small orders --------------------------
@@ -569,7 +556,9 @@ def enumerate_dm(
         raise SearchError("enumeration needs order >= 5")
     if opts.require_self_reverse:
         raise SearchError("enumerate_dm runs without the self-reverse flag")
-    return _collect(n, _DMSearch(n, _deadline(opts)).run(), opts)
+    deadline = _deadline(opts)
+    stream = (lg.to_graph() for lg in _DMSearch(n, deadline).run())
+    return _collect(n, stream, opts, deadline)
 
 
 # -- labelings of a fixed graph ------------------------------------------------

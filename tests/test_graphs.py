@@ -323,6 +323,16 @@ class TestAutomorphisms:
                 for q in sample:
                     assert tuple(p[q[v]] for v in range(g.n)) in group
 
+    def test_listing_limit_counts_vertex_images(self):
+        # order 40 but a group of 160: the limit counts the listing, not the order
+        g = circulant(40, [1, 9, -1, -9])
+        group = automorphism_group(g)
+        assert len(group) == len(set(group)) == group_order(g) == 160
+        assert all(g.has_edge(p[u], p[v]) for p in group for u, v in g.edges())
+        # 32 vertices times 2^21 automorphisms is over the limit
+        with pytest.raises(GraphError, match="too large to list"):
+            automorphism_group(wreath(16))
+
     def test_all_elements_preserve_adjacency(self):
         g = wreath(4)
         for p in automorphism_group(g):

@@ -14,8 +14,11 @@ from magiclab.labelings import (
     is_distance_magic,
     is_self_reverse,
     label_graph,
+    label_graph_to_json,
     labeling_to_json,
 )
+from magiclab.merges import witness_non_wreath
+from magiclab.quotients import lift, quotient
 from magiclab.search import (
     EnumerationReport,
     SearchError,
@@ -26,9 +29,12 @@ from magiclab.search import (
     find_labelings,
     iter_sr_pairs,
     table1_report,
+    _DMSearch,
     _involutions_with_pairing,
     _InvolutionSearch,
     _PlacementSearch,
+    _QuotientSearch,
+    _verify_emission,
 )
 
 from oracle import (
@@ -60,9 +66,30 @@ class TestEnumerateSrSmall:
             assert is_self_reverse(g, l)
 
     def test_emissions_are_distinct_label_graphs(self):
-        pairs, rep = enumerate_sr(16, SearchOptions(require_nondegenerate=True))
-        keys = {lg_edges(g, l) for g, l in pairs}
-        assert len(keys) == rep.sr_count
+        # no stream repeats a label graph, so nothing is deduplicated
+        for pairs, rep in (
+            enumerate_sr(16, SearchOptions(require_nondegenerate=True)),
+            enumerate_sr(14, SearchOptions(require_nondegenerate=False)),
+            enumerate_dm(12),
+        ):
+            keys = {lg_edges(g, l) for g, l in pairs}
+            assert len(keys) == rep.sr_count == len(pairs)
+
+    def test_outputs_digest(self):
+        # sha256 over label_graph_to_json of each sorted output pair, one per
+        # line; computed before the quotient search emitted quotients
+        h = hashlib.sha256()
+        for pairs, _ in (enumerate_sr(14, SearchOptions()), enumerate_dm(12)):
+            for g, l in pairs:
+                h.update(label_graph_to_json(label_graph(g, l)).encode() + b"\n")
+        assert h.hexdigest() == "c465ecd3846bc8a6db24f50a29071488baac53e0d236a03762f9cca6ba5f83fc"
+
+    @pytest.mark.parametrize("n", [16, 18, 20, 21])  # orders 17 and 19 emit none
+    def test_emitted_quotients_round_trip(self, n):
+        emitted = list(_QuotientSearch(n).run())
+        assert emitted
+        for q in emitted:
+            assert quotient(*lift(q)) == q
 
     def test_sorted_output(self):
         pairs, _ = enumerate_sr(12, SearchOptions())
@@ -143,6 +170,19 @@ class TestEnumerateDm:
         with pytest.raises(SearchError):
             enumerate_dm(18)
 
+    @pytest.mark.parametrize("n, raw, rejected", [(12, 124, 10), (14, 1094, 122)])
+    def test_reject_profile(self, n, raw, rejected):
+        # the search emits distance magic 4-regular label graphs; the only
+        # ones verification rejects are the disconnected ones
+        opts = SearchOptions(require_self_reverse=False)
+        emitted = [lg.to_graph() for lg in _DMSearch(n).run()]
+        rejects = [(g, l) for g, l in emitted if not _verify_emission(g, l, opts)]
+        for g, l in rejects:
+            assert g.is_regular(4) and is_distance_magic(g, l)
+            assert not g.is_connected()
+        assert (len(emitted), len(rejects)) == (raw, rejected)
+        assert raw - rejected == enumerate_dm(n)[1].sr_count
+
 
 class TestFindLabelings:
     def test_k5_empty(self):
@@ -192,6 +232,13 @@ class TestFindLabelings:
             find_labelings(
                 wreath(4), SearchOptions(require_self_reverse=False), max_results=max_results
             )
+
+    def test_order_33_witness_has_sr_labeling(self):
+        # Aut has order 32, so the partner involutions are cheap to list
+        # although the graph has more than 32 vertices
+        g, _ = witness_non_wreath(33)
+        (l,) = find_labelings(g, SearchOptions(require_self_reverse=True), max_results=1)
+        assert is_distance_magic(g, l) and is_self_reverse(g, l)
 
     def test_first_classes_of_circulant_24(self):
         # the first three classes in search order, pinned: a capped search
@@ -293,6 +340,25 @@ class TestTimeLimit:
         with pytest.raises(SearchTimeLimit):
             find_labelings(g, SearchOptions(time_limit=0.05, **flags))
         assert time.monotonic() - start < 1.0
+
+    def test_deadline_covers_classification(self, monkeypatch):
+        # the fake clock stands still during the search and advances 1 s per
+        # canonical code, so the 2.5 s limit runs out while classifying
+        clock = [100.0]
+        starts = []
+
+        def slow_canonical_code(g):
+            starts.append(clock[0])
+            clock[0] += 1.0
+            return canonical_code(g)
+
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(search, "canonical_code", slow_canonical_code)
+        pairs, rep = enumerate_sr(16, SearchOptions(require_nondegenerate=True, time_limit=2.5))
+        assert not rep.complete
+        assert len(pairs) == rep.sr_count == 48
+        assert starts and max(starts) <= 102.5
+        assert len(starts) < len(pairs)
 
     def test_bad_options(self):
         with pytest.raises(SearchError):
