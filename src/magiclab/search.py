@@ -565,14 +565,41 @@ def enumerate_dm(
 
 
 def _involutions_with_pairing(g: Graph) -> list[tuple[int, ...]]:
-    """Involutory automorphisms with no fixed point (even order) or exactly
-    one (odd order): the candidate partner maps of a self-reverse labeling."""
+    """One candidate partner map per Aut(g)-conjugacy class, in the sorted
+    order of automorphism_group: the first of each class of involutory
+    automorphisms with no fixed point (even order) or exactly one (odd
+    order).
+
+    Relabeling by an automorphism alpha turns each labeling l with partner
+    map sigma into l . alpha^-1, with partner map alpha sigma alpha^-1 and
+    the same label graph.  So the first sigma of a class emits every label
+    graph its conjugates would, before any of them, and dropping the
+    conjugates keeps the order in which label graphs first appear.  Classes
+    are closed under conjugation by the generators of Aut(g), not by the
+    listed group.
+    """
     want_fixed = g.n % 2
+    gens = _graphs._aut_generators(g)
+    seen: set[tuple[int, ...]] = set()
     out = []
     for perm in _graphs.automorphism_group(g):
-        if all(perm[perm[v]] == v for v in range(g.n)):
-            if sum(1 for v in range(g.n) if perm[v] == v) == want_fixed:
-                out.append(perm)
+        if perm in seen or any(perm[perm[v]] != v for v in range(g.n)):
+            continue
+        if sum(1 for v in range(g.n) if perm[v] == v) != want_fixed:
+            continue
+        out.append(perm)
+        seen.add(perm)
+        stack = [perm]
+        while stack:
+            sigma = stack.pop()
+            for alpha in gens:
+                img = [0] * g.n
+                for v in range(g.n):
+                    img[alpha[v]] = alpha[sigma[v]]
+                conj = tuple(img)
+                if conj not in seen:
+                    seen.add(conj)
+                    stack.append(conj)
     return out
 
 
@@ -590,6 +617,14 @@ class _InvolutionSearch(_Backtracker):
     largest free magnitude, the cell and each of its neighbors can still
     balance; signed balances are kept current on apply and undo.  The
     global reversal is killed by pinning the first orientation.
+
+    A free cell, one with no neighbor list, takes orientation +1 only: its
+    neighbors are full blocks, the central cell or its own partner, so its
+    two vertices are twins and swapping them is an automorphism commuting
+    with sigma.  The swap flips the cell's orientation and keeps the label
+    graph; the cell adds nothing to any balance, so the -1 subtree repeats
+    the +1 subtree, which comes first, label graph for label graph.  The
+    order in which label graphs first appear in the stream is unchanged.
     """
 
     __slots__ = (
@@ -679,7 +714,7 @@ class _InvolutionSearch(_Backtracker):
         for ai in range(len(avail) - 1):
             a = avail[ai]
             nxt = avail[1] if ai == 0 else avail[0]  # the largest left after a
-            for o in (1,) if p == 0 else (1, -1):
+            for o in (1,) if p == 0 or not neigh[i] else (1, -1):
                 if abs((a if semi else 0) - o * bal) > r * nxt:
                     continue
                 s = o * a
@@ -701,9 +736,16 @@ class _PlacementSearch(_Backtracker):
     candidate when, after the placement, it and each neighbor can still
     reach a zero neighbor sum with every open neighbor taking at most the
     next magnitude.
+
+    Twins (vertices with the same neighbors) are labelled in vertex order: a
+    vertex is a candidate only once the next smaller vertex of its twin class
+    is.  Swapping two unlabelled twins u < v is an automorphism that fixes
+    the search state, so the subtree placing on v relabels the subtree
+    placing on u, which comes first, and emits no new label graph.  The
+    order in which label graphs first appear in the stream is unchanged.
     """
 
-    __slots__ = ("g", "order", "assign", "ssum", "open_nb")
+    __slots__ = ("g", "order", "assign", "ssum", "open_nb", "prev_twin")
 
     def __init__(self, g: Graph, deadline: Optional[float] = None):
         self.g = g
@@ -712,6 +754,11 @@ class _PlacementSearch(_Backtracker):
         self.assign: list[Optional[int]] = [None] * g.n
         self.ssum = [0] * g.n
         self.open_nb = [g.degree(v) for v in range(g.n)]
+        # prev_twin[v]: the next smaller vertex of v's twin class, if any
+        self.prev_twin: list[Optional[int]] = [None] * g.n
+        for cls in _graphs._twin_classes(g):
+            for u, v in zip(cls, cls[1:]):
+                self.prev_twin[v] = u
 
     def _snapshot(self) -> Labeling:
         return Labeling(self.assign)
@@ -737,7 +784,11 @@ class _PlacementSearch(_Backtracker):
         if p == 0:
             cand = vertex_orbit_representatives(g)
         else:
-            cand = [v for v in range(g.n) if assign[v] is None]
+            twin = self.prev_twin
+            cand = [
+                v for v in range(g.n)
+                if assign[v] is None and (twin[v] is None or assign[twin[v]] is not None)
+            ]
         out = []
         for v in cand:
             if abs(ssum[v]) > open_nb[v] * nxt:
@@ -758,16 +809,24 @@ def find_labelings(
     """Distance magic labelings of the fixed graph g matching the flags,
     one representative per label graph, sorted by label-graph encoding.
 
-    With the self-reverse flag the search runs per candidate partner
-    involution of Aut(g); otherwise it is a direct exhaustive placement.
-    An optional cap (at least 1) stops after that many distinct classes,
-    which makes existence checks cheap.  A configured time limit raises
+    With the self-reverse flag the search runs once per Aut(g)-conjugacy
+    class of candidate partner involutions; otherwise it is a direct
+    exhaustive placement.  Both searches skip branches that only swap twin
+    vertices.  What they skip repeats label graphs already emitted earlier
+    in the stream, so the order in which label graphs first appear, and
+    with it the representative of each, is that of the search over every
+    involution and every swap.  An optional cap (at least 1) stops after
+    that many distinct classes, which makes existence checks cheap; it
+    returns the first classes in that order.  With the connectivity flag a
+    disconnected g has no labelings.  A configured time limit raises
     SearchTimeLimit rather than returning a silently incomplete list.
     """
     if not g.is_regular(4):
         raise SearchError("labeling search supports tetravalent graphs only")
     if max_results is not None and max_results < 1:
         raise SearchError("max_results must be at least 1")
+    if opts.require_connected and not g.is_connected():
+        return []
     deadline = _deadline(opts)
     if opts.require_self_reverse:
         searches = (_InvolutionSearch(g, s, deadline) for s in _involutions_with_pairing(g))

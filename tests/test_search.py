@@ -8,7 +8,13 @@ import pytest
 from magiclab import search
 
 from magiclab.families import cartesian_cycles, circulant, wreath
-from magiclab.graphs import Graph, apply_permutation, are_isomorphic, canonical_code
+from magiclab.graphs import (
+    Graph,
+    apply_permutation,
+    are_isomorphic,
+    automorphism_group,
+    canonical_code,
+)
 from magiclab.labelings import (
     is_degenerate,
     is_distance_magic,
@@ -47,6 +53,20 @@ from oracle import (
 
 def lg_edges(g, l):
     return frozenset(label_graph(g, l).edges)
+
+
+def renumbered(g, seed):
+    """g itself for seed None, else g with its vertices shuffled by
+    random.Random(seed)."""
+    if seed is None:
+        return g
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return apply_permutation(g, perm)
+
+
+SR = SearchOptions(require_self_reverse=True)
+DM = SearchOptions(require_self_reverse=False)
 
 
 class TestEnumerateSrSmall:
@@ -255,6 +275,110 @@ class TestFindLabelings:
              -3, 3, -5, -9, 15, -7, 1, 21, -19, 11, -13, -17),
         ]
 
+    def test_capped_outputs_digest(self):
+        # sha256 over labeling_to_json of find_labelings(g, opts, max_results=k)
+        # for every k up to the class count, on wreath(4) and wreath(5) in
+        # both numberings and both modes; computed before the searches
+        # skipped conjugate involutions and twin swaps
+        h = hashlib.sha256()
+        for make in (lambda: wreath(4), lambda: wreath(5)):
+            for seed in (None, 7):
+                g = renumbered(make(), seed)
+                for opts in (SR, DM):
+                    total = len(find_labelings(g, opts))
+                    assert total
+                    for k in range(1, total + 1):
+                        found = find_labelings(g, opts, max_results=k)
+                        assert len(found) == k
+                        for l in found:
+                            h.update(labeling_to_json(l).encode() + b"\n")
+                        h.update(b"\n")
+        assert h.hexdigest() == "a837b463ad00b1fb6b53da12a8f73bc661a897c7ad4487f296d93abb7e08b967"
+
+    # circulant(12, [1, 5, -1, -5]) is wreath(6) in the same numbering, so
+    # the two graphs pin the same outputs
+    FULL_OUTPUT_DIGESTS = {
+        ("wreath6", "sr"): "5f88f52b3e99c03a6dc22d5253f1e26408b9dd41290b1437ef57f9ef7e4a2688",
+        ("wreath6", "dm"): "077f19a63a798a2ef80b001788b4f04092d08eedef53762686d44462c444b299",
+        ("circ12", "sr"): "5f88f52b3e99c03a6dc22d5253f1e26408b9dd41290b1437ef57f9ef7e4a2688",
+        ("circ12", "dm"): "077f19a63a798a2ef80b001788b4f04092d08eedef53762686d44462c444b299",
+    }
+
+    @pytest.mark.parametrize("name, mode", sorted(FULL_OUTPUT_DIGESTS))
+    def test_full_outputs_digest(self, name, mode):
+        # sha256 over labeling_to_json of the sorted output under renumbering
+        # 7; computed before the searches skipped conjugate involutions and
+        # twin swaps
+        make = {"wreath6": lambda: wreath(6), "circ12": lambda: circulant(12, [1, 5, -1, -5])}
+        g = renumbered(make[name](), 7)
+        h = hashlib.sha256()
+        for l in find_labelings(g, SR if mode == "sr" else DM):
+            h.update(labeling_to_json(l).encode() + b"\n")
+        assert h.hexdigest() == self.FULL_OUTPUT_DIGESTS[name, mode]
+
+    def test_disconnected_graph_needs_connectivity_flag_off(self):
+        w3 = wreath(3)
+        g = Graph(12, w3.edges() + [(u + 6, v + 6) for u, v in w3.edges()])
+        assert find_labelings(g) == []
+        assert find_labelings(g, SR) == []
+        loose = find_labelings(g, SearchOptions(require_self_reverse=False, require_connected=False))
+        assert len(loose) == 10
+        assert all(is_distance_magic(g, l) for l in loose)
+
+    def test_work_counts(self, monkeypatch):
+        # one involution search per conjugacy class, free cells and twins
+        # taken one way: wreath(6) emits 720 and 120 raw labelings for its
+        # 60 classes, against 23,040 over 45 involutions and 3,840 placements
+        # when every involution and every twin swap is searched
+        runs = []
+
+        class Counted(_InvolutionSearch):
+            def run(self):
+                runs.append(0)
+                for l in super().run():
+                    runs[-1] += 1
+                    yield l
+
+        monkeypatch.setattr(search, "_InvolutionSearch", Counted)
+        assert len(find_labelings(wreath(6), SR)) == 60
+        assert (len(runs), sum(runs)) == (4, 720)
+        assert sum(1 for _ in _PlacementSearch(wreath(6)).run()) == 120
+
+    @pytest.mark.parametrize(
+        "make, sizes",
+        [
+            (lambda: wreath(6), [24, 12, 8, 1]),
+            (lambda: cartesian_cycles(3, 6), [3, 9, 1, 3]),
+            (lambda: cartesian_cycles(3, 5), [15]),
+        ],
+        ids=["wreath6", "cc36", "cc35"],
+    )
+    def test_one_involution_per_conjugacy_class(self, make, sizes):
+        # brute-force conjugation over the listed group: the representatives
+        # are pairwise non-conjugate, and their classes cover every candidate
+        # partner map, each represented by its first member
+        g = make()
+        group = automorphism_group(g)
+        want_fixed = g.n % 2
+        candidates = [
+            s for s in group
+            if all(s[s[v]] == v for v in range(g.n))
+            and sum(s[v] == v for v in range(g.n)) == want_fixed
+        ]
+
+        def conjugate(a, s):
+            img = [0] * g.n
+            for v in range(g.n):
+                img[a[v]] = a[s[v]]
+            return tuple(img)
+
+        reps = _involutions_with_pairing(g)
+        classes = [{conjugate(a, s) for a in group} for s in reps]
+        assert [len(c) for c in classes] == sizes
+        assert set().union(*classes) == set(candidates)
+        assert sum(sizes) == len(candidates)
+        assert reps == [next(s for s in candidates if s in c) for c in classes]
+
     def test_matches_quotient_enumeration_on_fixed_graph(self):
         # dual-route check: classes on C3 x C6 from the fixed-graph search
         # equal the order-18 enumeration restricted to that graph
@@ -277,27 +401,25 @@ class TestFixedGraphStreams:
     """The raw emission order of the two fixed-graph searches, before
     verification and deduplication: sha256 over labeling_to_json of each
     emitted labeling, one per line.  Renumbering 7 shuffles the vertices
-    with random.Random(7)."""
+    with random.Random(7).  Pinned once the searches ran one involution per
+    conjugacy class and skipped twin swaps: wreath(5) emits 120 (SR) and 24
+    (DM) labelings, circulant(12, [1, 5, -1, -5]) 720 and 120."""
 
     DIGESTS = {
-        ("wreath5", None, "sr"): "7e3ccdac82e92993efd42873f21c6f59785dd9136445abbf7304dc35a0423dde",
-        ("wreath5", None, "dm"): "956162a0337a941cba755e82cede3dd6857ac6ceb3e6eedcace4d93f6f0096a5",
-        ("wreath5", 7, "sr"): "d2b3999160348fb86c3e7e3bc9f7253f896ff2c601d61f8b82d023fd91068c4e",
-        ("wreath5", 7, "dm"): "a2355bd1b945b6e606232747800dd6ba0fb271c032828e6c4d2837caa96464bd",
-        ("circ12", None, "sr"): "febbdeb5e68cb9c61ca804072c24ffba0eb80298102d6ed1c37743639746bc20",
-        ("circ12", None, "dm"): "9dbacf2a8d869700a2a65445faf57d11fe304bb5eba5065747ee43e658bd28f9",
-        ("circ12", 7, "sr"): "0804fabdd4cd7e6126f7b729b5b2ac65d4b4d49254054aa237cfa88a785a06e6",
-        ("circ12", 7, "dm"): "f552c03e62c7d09f7fa32d8b9437a22bf64a40c53ca80e625ff46430d9740c8c",
+        ("wreath5", None, "sr"): "f6f2737f814770f0d68077a992a3457d53ab6226f90354921b9330d9d4d7c0bd",
+        ("wreath5", None, "dm"): "34d4e27e3d689490e04b9ff18795dece8c654426a7c492703aa1e0761cfb0353",
+        ("wreath5", 7, "sr"): "b734b0769173b26aa87bc156c542e400b1fa0a27505afd8ac5fa8323801f2df7",
+        ("wreath5", 7, "dm"): "112ce40e9095553260df787b9a28af270b6eb39ceb1bc228591aeb6ef76b0cc3",
+        ("circ12", None, "sr"): "ebedd07ae91cdcfef7e5ece6c39ff39b13291e299eb8a6a1e714eb32fbd7f784",
+        ("circ12", None, "dm"): "d6f325dec0fd34362aa8de114f3591c85eb0c3a1699aad918f282be0e6a50ec5",
+        ("circ12", 7, "sr"): "5dd3dc559cb67076642207343583876308957af9513473cf1fe338cb132b26a3",
+        ("circ12", 7, "dm"): "b2224cf78dbdad840c38e19f49c3d2076a335063b5dc2cdd9f045ed23a7143d3",
     }
     GRAPHS = {"wreath5": lambda: wreath(5), "circ12": lambda: circulant(12, [1, 5, -1, -5])}
 
     @pytest.mark.parametrize("name, seed, mode", sorted(DIGESTS, key=str))
     def test_stream_digest(self, name, seed, mode):
-        g = self.GRAPHS[name]()
-        if seed is not None:
-            perm = list(range(g.n))
-            random.Random(seed).shuffle(perm)
-            g = apply_permutation(g, perm)
+        g = renumbered(self.GRAPHS[name](), seed)
         if mode == "sr":
             searches = [_InvolutionSearch(g, s) for s in _involutions_with_pairing(g)]
         else:
@@ -330,9 +452,11 @@ class TestTimeLimit:
         "make, flags",
         [
             (lambda: circulant(30, [1, 4, -1, -4]), {"require_self_reverse": True}),
-            (lambda: wreath(6), {"require_self_reverse": False}),
+            # no twins and no classes: nothing is skipped, and the placement
+            # search runs about 1-2 s to the end
+            (lambda: cartesian_cycles(4, 4), {"require_self_reverse": False}),
         ],
-        ids=["circulant30-sr", "wreath6-dm"],
+        ids=["circulant30-sr", "cc44-dm"],
     )
     def test_fixed_graph_search_raises_promptly(self, make, flags):
         g = make()
