@@ -70,7 +70,7 @@ class SearchOptions:
     def __post_init__(self):
         if self.valence != 4:
             raise SearchError("only valence 4 is supported")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:  # nan too
             raise SearchError("time limit must be positive")
         if self.thread_budget < 1:
             raise SearchError("thread budget must be at least 1")
@@ -136,6 +136,29 @@ def _bound_table(mags: list[int]) -> list[list[list[int]]]:
     ]
 
 
+def _walk(out, tag, picks, cand, vals, signs, skips, forced, pre, start, need, target):
+    """Append (tag, picks + more) for every way to pick need more candidates
+    from cand[start:] that hits target, taking each with its signs before
+    leaving it out.  The caller has checked that need >= 1, forced[start] <=
+    need and |target| <= pre[start + need] - pre[start]."""
+    for ci in range(start, len(cand) - need + 1):
+        if abs(target) > pre[ci + need] - pre[ci]:
+            return
+        if forced[ci + 1] < need:
+            q, b = cand[ci], vals[ci]
+            room = pre[ci + need] - pre[ci + 1]  # 0 for the last pick
+            for sig in signs[ci]:
+                rest = target - sig * b
+                if -room <= rest <= room:
+                    if need == 1:
+                        out.append((tag, (*picks, (q, sig))))
+                    else:
+                        _walk(out, tag, (*picks, (q, sig)), cand, vals, signs, skips, forced,
+                              pre, ci + 1, need - 1, rest)
+        if not skips[ci]:
+            return
+
+
 def _subset_choices(cand, vals, signs, skips, wants) -> list[tuple[int, tuple]]:
     """Every way to pick candidates so that their signed values hit a target.
 
@@ -144,50 +167,27 @@ def _subset_choices(cand, vals, signs, skips, wants) -> list[tuple[int, tuple]]:
     target; candidates whose skip flag is False must be picked.  Results are
     (tag, ((candidate, sign), ...)) in depth-first order: candidates in list
     order, each taken with its signs in order before it is left out.  Values
-    must be non-increasing in magnitude, which makes the prefix sums below
-    an upper bound on any need of the remaining values.
-    """
-    k = len(cand)
-    pre = [0]
-    for x in vals:
-        pre.append(pre[-1] + abs(x))
-    forced = [0] * (k + 1)  # candidates at or after ci that must be picked
-    for ci in range(k - 1, -1, -1):
-        forced[ci] = forced[ci + 1] + (not skips[ci])
+    must be non-increasing in magnitude, so the next need magnitudes bound
+    what need picks can reach: _walk descends only where they can, and ends
+    the last pick at the first magnitude below the target's.  Wants needing
+    no walk are settled before the prefix sums are built."""
+    n_forced = skips.count(False)
     out: list[tuple[int, tuple]] = []
-    picks: list[tuple[int, int]] = []
-
-    def pick(ci: int, need: int, target: int):
-        if need == 0:
-            if target == 0 and forced[ci] == 0:
-                out.append((tag, tuple(picks)))
-            return
-        if k - ci < need or forced[ci] > need:
-            return
-        if need == 1:
-            # the last pick: one scan, leaving out everything else
-            for cj in range(ci, k):
-                if forced[cj + 1] == 0:
-                    b = vals[cj]
-                    for sig in signs[cj]:
-                        if sig * b == target:
-                            out.append((tag, (*picks, (cand[cj], sig))))
-                if not skips[cj]:
-                    return
-            return
-        if abs(target) > pre[ci + need] - pre[ci]:
-            return
-        q, b = cand[ci], vals[ci]
-        for sig in signs[ci]:
-            picks.append((q, sig))
-            pick(ci + 1, need - 1, target - sig * b)
-            picks.pop()
-        if skips[ci]:
-            pick(ci + 1, need, target)
-
+    pre = forced = None
     for tag, need, target in wants:
-        if need >= 0:
-            pick(0, need, target)
+        if need < n_forced or need > len(cand):
+            continue
+        if need == 0:
+            if target == 0:
+                out.append((tag, ()))
+            continue
+        if pre is None:
+            pre, forced = [0], [n_forced]  # sum of |vals[:ci]|, must-picks in cand[ci:]
+            for x, skip in zip(vals, skips):
+                pre.append(pre[-1] + abs(x))
+                forced.append(forced[-1] - (not skip))
+        if abs(target) <= pre[need]:
+            _walk(out, tag, (), cand, vals, signs, skips, forced, pre, 0, need, target)
     return out
 
 

@@ -235,6 +235,11 @@ class TestEnumerate:
         assert code == 3
         assert json.loads(out)["complete"] is False
 
+    def test_nan_time_limit_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--order", "17", "--time-limit", "nan")
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
     def test_degenerate_cap_exits_before_search(self, capsys):
         start = time.monotonic()
         code, out, err = run(capsys, "enumerate", "--order", "22")

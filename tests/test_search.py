@@ -4,6 +4,8 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magiclab import search
 
@@ -40,6 +42,7 @@ from magiclab.search import (
     _InvolutionSearch,
     _PlacementSearch,
     _QuotientSearch,
+    _subset_choices,
     _verify_emission,
 )
 
@@ -202,6 +205,107 @@ class TestEnumerateDm:
             assert not g.is_connected()
         assert (len(emitted), len(rejects)) == (raw, rejected)
         assert raw - rejected == enumerate_dm(n)[1].sr_count
+
+
+@st.composite
+def chooser_inputs(draw):
+    """Candidate lists shaped like the searches': magnitudes never increase
+    (the all-labelings search has ties, x before -x), an optional trailing 0
+    for the central vertex, and wants whose targets are often reachable."""
+    mags = sorted(draw(st.lists(st.integers(1, 12), max_size=7)), reverse=True)
+    vals = [draw(st.sampled_from((1, -1))) * x for x in mags]
+    if draw(st.booleans()):
+        vals.append(0)
+    k = len(vals)
+    signs = [draw(st.sampled_from([(1,), (-1,), (1, -1)])) for _ in range(k)]
+    skips = [draw(st.booleans()) for _ in range(k)]
+    wants = []
+    for tag in range(draw(st.integers(0, 3))):
+        taken = [draw(st.sampled_from((0,) + signs[ci])) for ci in range(k)]
+        reachable = sum(sig * x for sig, x in zip(taken, vals))
+        target = reachable + draw(st.sampled_from((0, 0, 1, -2)))
+        need = draw(st.one_of(st.just(sum(map(bool, taken))), st.integers(-1, k + 1)))
+        wants.append((tag, need, target))
+    cand = [3 * ci + 1 for ci in range(k)]
+    return cand, vals, signs, skips, wants
+
+
+def brute_force_choices(cand, vals, signs, skips, wants):
+    """Every pick hitting a want, found by walking all decisions depth
+    first: candidates in list order, each taken with its signs in order
+    before it is left out, and left out only if its skip flag allows."""
+
+    def walk(ci, picks):
+        if ci == len(cand):
+            yield picks
+            return
+        for sig in signs[ci]:
+            yield from walk(ci + 1, picks + ((cand[ci], sig),))
+        if skips[ci]:
+            yield from walk(ci + 1, picks)
+
+    value = dict(zip(cand, vals))
+    return [
+        (tag, picks)
+        for tag, need, target in wants
+        for picks in walk(0, ())
+        if len(picks) == need and sum(sig * value[q] for q, sig in picks) == target
+    ]
+
+
+class TestSubsetChoices:
+    @settings(max_examples=400, deadline=None)
+    @given(chooser_inputs())
+    def test_matches_brute_force(self, inputs):
+        assert _subset_choices(*inputs) == brute_force_choices(*inputs)
+
+
+class TestSearchWork:
+    """Node counts and raw emission streams of the two searches sharing
+    _subset_choices, pinned before its rewrite: a cheaper chooser must keep
+    the search tree and every raw emission in order."""
+
+    QUOTIENT_NODES = {16: 1096, 17: 3672, 18: 6176, 19: 22225, 20: 35488}
+
+    @pytest.mark.parametrize("n", sorted(QUOTIENT_NODES))
+    def test_quotient_search_nodes(self, n):
+        qs = _QuotientSearch(n)
+        for _ in qs.run():
+            pass
+        assert qs.nodes == self.QUOTIENT_NODES[n]
+
+    def test_quotient_stream_order_21(self):
+        # the only odd order with emissions that is cheap to run, so the one
+        # stream pin covering the central vertex; none of the 57 lifts is
+        # rejected, so this is also the non-degenerate stream of iter_sr_pairs
+        qs = _QuotientSearch(21)
+        h = hashlib.sha256()
+        count = 0
+        for q in qs.run():
+            h.update(label_graph_to_json(label_graph(*lift(q))).encode() + b"\n")
+            count += 1
+        assert (qs.nodes, count, h.hexdigest()) == (
+            157356, 57, "1a9e5cccb29a43500d145815ab016cba12fb4b6e6a54c2c85775370c8126b82f"
+        )
+
+    # (nodes, raw emissions, sha256 over label_graph_to_json of each, in order)
+    DM_STREAMS = {
+        10: (331, 12, "e440810b86cf5710cd9984e7d8ff3b7e4544873c997525a0185aa37e725892b7"),
+        11: (734, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        12: (3236, 124, "e783ca77485a923d841c3bd86cc3bcaa16fc3ca8612ff78fabb05a6f36b9d213"),
+        13: (7970, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        14: (43049, 1094, "0290cbdb19b8fee5faf9fcb51effca2365714417a20078c3edf18d8d18b16042"),
+    }
+
+    @pytest.mark.parametrize("n", sorted(DM_STREAMS))
+    def test_dm_search_stream(self, n):
+        dms = _DMSearch(n)
+        h = hashlib.sha256()
+        count = 0
+        for lg in dms.run():
+            h.update(label_graph_to_json(lg).encode() + b"\n")
+            count += 1
+        assert (dms.nodes, count, h.hexdigest()) == self.DM_STREAMS[n]
 
 
 class TestFindLabelings:
@@ -483,6 +587,11 @@ class TestTimeLimit:
         assert len(pairs) == rep.sr_count == 48
         assert starts and max(starts) <= 102.5
         assert len(starts) < len(pairs)
+
+    def test_nan_time_limit_rejected(self):
+        # nan compares false with everything, so its deadline never passes
+        with pytest.raises(SearchError):
+            SearchOptions(time_limit=float("nan"))
 
     def test_bad_options(self):
         with pytest.raises(SearchError):
