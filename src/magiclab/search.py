@@ -564,11 +564,11 @@ def enumerate_dm(
 # -- labelings of a fixed graph ------------------------------------------------
 
 
-def _involutions_with_pairing(g: Graph) -> list[tuple[int, ...]]:
-    """One candidate partner map per Aut(g)-conjugacy class, in the sorted
-    order of automorphism_group: the first of each class of involutory
-    automorphisms with no fixed point (even order) or exactly one (odd
-    order).
+def _involutions_with_pairing(g: Graph, group: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """One candidate partner map per Aut(g)-conjugacy class, in the order of
+    group, the sorted automorphism_group(g): the first of each class of
+    involutory automorphisms with no fixed point (even order) or exactly one
+    (odd order).
 
     Relabeling by an automorphism alpha turns each labeling l with partner
     map sigma into l . alpha^-1, with partner map alpha sigma alpha^-1 and
@@ -582,7 +582,7 @@ def _involutions_with_pairing(g: Graph) -> list[tuple[int, ...]]:
     gens = _graphs._aut_generators(g)
     seen: set[tuple[int, ...]] = set()
     out = []
-    for perm in _graphs.automorphism_group(g):
+    for perm in group:
         if perm in seen or any(perm[perm[v]] != v for v in range(g.n)):
             continue
         if sum(1 for v in range(g.n) if perm[v] == v) != want_fixed:
@@ -604,35 +604,50 @@ def _involutions_with_pairing(g: Graph) -> list[tuple[int, ...]]:
 
 
 class _InvolutionSearch(_Backtracker):
-    """All distance magic labelings of g whose partner map is sigma.
+    """The distance magic labelings of g whose partner map is sigma, one per
+    label graph.
 
     Cells are the sigma-orbits; each position gives one cell a magnitude and
-    an orientation.  A neighbor cell joined by a straight matching
-    contributes its oriented magnitude, a crossed matching the negation; a
-    full block or the central cell contributes nothing and is left out of
-    the neighbor lists.  A cell adjacent to its own partner needs its
-    oriented magnitude back (the semiedge).  Each position takes the
-    unassigned cell with the most assigned neighbors, lowest index first.
-    A candidate is kept when, with every open neighbor taking at most the
-    largest free magnitude, the cell and each of its neighbors can still
-    balance; signed balances are kept current on apply and undo.  The
-    global reversal is killed by pinning the first orientation.
+    an orientation, the sign of the label of the cell's first vertex.  A
+    neighbor cell joined by a straight matching contributes its oriented
+    magnitude, a crossed matching the negation; a full block or the central
+    cell contributes nothing and is left out of the neighbor lists.  A cell
+    adjacent to its own partner needs its oriented magnitude back (the
+    semiedge).  The positions take the cells in a fixed order: the cell
+    with the most assigned neighbors next, lowest index first, a rule that
+    never looks at magnitudes.  A candidate is kept when, with every open
+    neighbor taking at most the largest free magnitude, the cell and each of
+    its neighbors can still balance; signed balances are kept current on
+    apply and undo.
 
-    A free cell, one with no neighbor list, takes orientation +1 only: its
-    neighbors are full blocks, the central cell or its own partner, so its
-    two vertices are twins and swapping them is an automorphism commuting
-    with sigma.  The swap flips the cell's orientation and keeps the label
-    graph; the cell adds nothing to any balance, so the -1 subtree repeats
-    the +1 subtree, which comes first, label graph for label graph.  The
-    order in which label graphs first appear in the stream is unchanged.
+    Labelings l and l . alpha, for alpha in the centralizer C of sigma in
+    Aut(g) (filtered from group, the listed Aut(g)), have partner map sigma
+    and one label graph, and two labelings with partner map sigma and one
+    label graph differ by such an alpha.  The search emits the first
+    labeling of each C-orbit only (lex-leader symmetry breaking: Crawford,
+    Ginsberg, Luks and Roy, KR 1996).  Search order is the lex order of the
+    labels of w_0, w_1, ..., the first vertices of the cells by position,
+    where a label ranks before another when its magnitude is larger or, at
+    equal magnitude, when it is positive.  If l . alpha came before l, alpha
+    would fix w_0..w_t-1 for the first position t where they differ and map
+    w_t to a vertex whose label ranks before that of w_t.  So l comes first
+    exactly when, for each t, w_t's label ranks before the label of every
+    other vertex u in the orbit of w_t under H_t, the pointwise stabilizer
+    of w_0..w_t-1 in C.  H_t commutes with sigma, so it fixes the cells of
+    positions before t, and u is either in a later cell, which must then
+    take a smaller magnitude than w_t's, or sigma(w_t), and w_t's
+    orientation is then +1.  The first orientation is pinned that way
+    (sigma is in C), and so is a free cell, one with no neighbor list: its
+    two vertices are twins, swapped by a member of H_t.
     """
 
     __slots__ = (
-        "n", "cells", "neigh", "semi", "mags", "used",
-        "mag", "orient", "assigned", "remaining", "bal",
+        "n", "cells", "neigh", "semi", "mags", "used", "mag", "orient", "bal", "order", "plan",
     )
 
-    def __init__(self, g: Graph, sigma, deadline: Optional[float] = None):
+    def __init__(
+        self, g: Graph, sigma, group: list[tuple[int, ...]], deadline: Optional[float] = None
+    ):
         n = g.n
         self.n = n
         self.cells = [(v,) if sigma[v] == v else (v, sigma[v]) for v in range(n) if sigma[v] >= v]
@@ -655,13 +670,51 @@ class _InvolutionSearch(_Backtracker):
                 elif len(members) == 1 and len(self.cells[j]) == 2:
                     self.neigh[i].append((j, 1 if members[0] == self.cells[j][0] else -1))
         self.mags = [lab for lab in label_set(n) if lab > 0][::-1]
-        super().__init__(len(self.mags), deadline)
+        m = len(self.mags)
+        super().__init__(m, deadline)
         self.used = [False] * n
         self.mag = [0] * k
         self.orient = [0] * k
-        self.assigned = [len(cell) == 1 for cell in self.cells]
-        self.remaining = [len(nb) for nb in self.neigh]
         self.bal = [0] * k
+        # the central cell is assigned from the start and in no neighbor list
+        pos = [-1 if len(cell) == 1 else m for cell in self.cells]
+        done = [0] * k  # assigned neighbors
+        self.order: list[int] = []
+        for p in range(m):
+            i = min((c for c in range(k) if pos[c] == m), key=lambda c: (-done[c], c))
+            pos[i] = p
+            self.order.append(i)
+            for j, _ in self.neigh[i]:
+                done[j] += 1
+
+        def open_after(j: int, p: int) -> int:
+            return sum(pos[c] > p for c, _ in self.neigh[j])
+
+        # the lex-leader constraints along the stabilizer chain of C
+        below: list[set[int]] = [set() for _ in range(m)]  # cells to stay under
+        turn = [False] * m  # orientation +1 only
+        stab = [a for a in group if all(a[sigma[v]] == sigma[a[v]] for v in range(n))]
+        for t, i in enumerate(self.order):
+            if len(stab) == 1:
+                break
+            w = self.cells[i][0]
+            for u in {alpha[w] for alpha in stab}:
+                if pos[cell_of[u]] > t:
+                    below[pos[cell_of[u]]].add(i)
+                elif u != w:
+                    turn[t] = True
+            stab = [alpha for alpha in stab if alpha[w] == w]
+        # plan[p]: cell i's neighbors as (j, t, assigned, open slots once
+        # position p is complete, the semiedge counted if j is unassigned),
+        # i's own open slots, the cells to stay under and the orientations
+        self.plan = []
+        for p, i in enumerate(self.order):
+            nbrs = [
+                (j, t, pos[j] < p, open_after(j, p) + (pos[j] > p and self.semi[j]))
+                for j, t in self.neigh[i]
+            ]
+            orients = (1,) if turn[p] else (1, -1)
+            self.plan.append((nbrs, open_after(i, p), tuple(below[p]), orients))
 
     def _snapshot(self) -> Labeling:
         labels = [0] * self.n
@@ -672,57 +725,55 @@ class _InvolutionSearch(_Backtracker):
         return Labeling(labels)
 
     def _apply(self, p: int, choice):
-        i, a, o = choice
-        self.assigned[i] = True
+        a, o = choice
+        i = self.order[p]
         self.mag[i] = a
         self.orient[i] = o
         self.used[a] = True
         for j, t in self.neigh[i]:
-            self.remaining[j] -= 1
             self.bal[j] += t * o * a
 
     def _undo(self, p: int, choice):
-        i, a, o = choice
-        self.assigned[i] = False
+        a, o = choice
         self.used[a] = False
-        for j, t in self.neigh[i]:
-            self.remaining[j] += 1
+        for j, t in self.neigh[self.order[p]]:
             self.bal[j] -= t * o * a
 
-    def _choices(self, p: int) -> list[tuple[int, int, int]]:
-        """All (cell, magnitude, orientation) triples for position p after
-        which the cell and its neighbors can still balance, in search order."""
-        neigh, assigned, remaining = self.neigh, self.assigned, self.remaining
-        i = min(
-            (c for c in range(len(neigh)) if not assigned[c]),
-            key=lambda c: (remaining[c] - len(neigh[c]), c),
-        )
+    def _choices(self, p: int) -> list[tuple[int, int]]:
+        """All (magnitude, orientation) pairs for position p's cell that keep
+        the lex-leader constraints and after which the cell and its
+        neighbors can still balance, in search order."""
+        cell_nbrs, r, below, orients = self.plan[p]
+        i = self.order[p]
+        semi, mag, orient, bal = self.semi, self.mag, self.orient, self.bal
         # once cell i takes the signed magnitude s, neighbor j with r open
         # slots still balances iff |c0 - c1 * s| <= r * (largest free
         # magnitude); an unassigned neighbor may spend a slot on its semiedge
         nbrs = []
-        for j, t in neigh[i]:
-            if assigned[j]:
-                o = self.orient[j]
-                want = self.mag[j] if self.semi[j] else 0
-                nbrs.append((want - o * self.bal[j], o * t, remaining[j] - 1))
+        for j, t, assigned, rj in cell_nbrs:
+            if assigned:
+                o = orient[j]
+                want = mag[j] if semi[j] else 0
+                nbrs.append((want - o * bal[j], o * t, rj))
             else:
-                nbrs.append((-self.bal[j], t, remaining[j] - 1 + self.semi[j]))
-        bal, r, semi = self.bal[i], remaining[i], self.semi[i]
+                nbrs.append((-bal[j], t, rj))
+        cap = min([mag[c] for c in below], default=self.n)
         avail = [a for a in self.mags if not self.used[a]] + [0]
         out = []
         for ai in range(len(avail) - 1):
             a = avail[ai]
+            if a > cap:
+                continue
             nxt = avail[1] if ai == 0 else avail[0]  # the largest left after a
-            for o in (1,) if p == 0 or not neigh[i] else (1, -1):
-                if abs((a if semi else 0) - o * bal) > r * nxt:
+            for o in orients:
+                if abs((a if semi[i] else 0) - o * bal[i]) > r * nxt:
                     continue
                 s = o * a
                 for c0, c1, rj in nbrs:
                     if abs(c0 - c1 * s) > rj * nxt:
                         break
                 else:
-                    out.append((i, a, o))
+                    out.append((a, o))
         return out
 
 
@@ -809,13 +860,15 @@ def find_labelings(
     """Distance magic labelings of the fixed graph g matching the flags,
     one representative per label graph, sorted by label-graph encoding.
 
-    With the self-reverse flag the search runs once per Aut(g)-conjugacy
-    class of candidate partner involutions; otherwise it is a direct
-    exhaustive placement.  Both searches skip branches that only swap twin
-    vertices.  What they skip repeats label graphs already emitted earlier
-    in the stream, so the order in which label graphs first appear, and
-    with it the representative of each, is that of the search over every
-    involution and every swap.  An optional cap (at least 1) stops after
+    With the self-reverse flag Aut(g) is listed once, and the search runs
+    once per Aut(g)-conjugacy class of candidate partner involutions; each
+    run emits one labeling per label graph, skipping the relabelings by the
+    involution's centralizer.  Otherwise it is a direct exhaustive
+    placement that skips branches that only swap twin vertices.  What the
+    searches skip repeats label graphs already emitted earlier in the
+    stream, so the order in which label graphs first appear, and with it
+    the representative of each, is that of the search over every involution
+    and every relabeling.  An optional cap (an int, at least 1) stops after
     that many distinct classes, which makes existence checks cheap; it
     returns the first classes in that order.  With the connectivity flag a
     disconnected g has no labelings.  A configured time limit raises
@@ -823,24 +876,26 @@ def find_labelings(
     """
     if not g.is_regular(4):
         raise SearchError("labeling search supports tetravalent graphs only")
-    if max_results is not None and max_results < 1:
-        raise SearchError("max_results must be at least 1")
+    if max_results is not None and (
+        isinstance(max_results, bool) or not isinstance(max_results, int) or max_results < 1
+    ):
+        raise SearchError("max_results must be an int of at least 1")
     if opts.require_connected and not g.is_connected():
         return []
     deadline = _deadline(opts)
     if opts.require_self_reverse:
-        searches = (_InvolutionSearch(g, s, deadline) for s in _involutions_with_pairing(g))
+        group = _graphs.automorphism_group(g)
+        searches = (
+            _InvolutionSearch(g, s, group, deadline) for s in _involutions_with_pairing(g, group)
+        )
     else:
         searches = [_PlacementSearch(g, deadline)]
-    # the predicates depend on the label graph only, so each is checked once
-    seen: set[tuple] = set()
+    # the predicates depend on the label graph only, and only the placement
+    # stream repeats label graphs, so only classes found are remembered
     found: dict[tuple, Labeling] = {}
     for l in chain.from_iterable(search.run() for search in searches):
         key = label_graph(g, l).sort_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        if _labeling_ok(g, l, opts):
+        if key not in found and _labeling_ok(g, l, opts):
             found[key] = l
             if len(found) == max_results:
                 break

@@ -107,7 +107,8 @@ class TestEnumerateSrSmall:
                 h.update(label_graph_to_json(label_graph(g, l)).encode() + b"\n")
         assert h.hexdigest() == "c465ecd3846bc8a6db24f50a29071488baac53e0d236a03762f9cca6ba5f83fc"
 
-    @pytest.mark.parametrize("n", [16, 18, 20, 21])  # orders 17 and 19 emit none
+    # orders 17 and 19 emit none; TestSearchWork checks order 21's stream
+    @pytest.mark.parametrize("n", [16, 18, 20])
     def test_emitted_quotients_round_trip(self, n):
         emitted = list(_QuotientSearch(n).run())
         assert emitted
@@ -277,12 +278,15 @@ class TestSearchWork:
     def test_quotient_stream_order_21(self):
         # the only odd order with emissions that is cheap to run, so the one
         # stream pin covering the central vertex; none of the 57 lifts is
-        # rejected, so this is also the non-degenerate stream of iter_sr_pairs
+        # rejected, so this is also the non-degenerate stream of iter_sr_pairs;
+        # each quotient must round-trip through its lift
         qs = _QuotientSearch(21)
         h = hashlib.sha256()
         count = 0
         for q in qs.run():
-            h.update(label_graph_to_json(label_graph(*lift(q))).encode() + b"\n")
+            g, l = lift(q)
+            assert quotient(g, l) == q
+            h.update(label_graph_to_json(label_graph(g, l)).encode() + b"\n")
             count += 1
         assert (qs.nodes, count, h.hexdigest()) == (
             157356, 57, "1a9e5cccb29a43500d145815ab016cba12fb4b6e6a54c2c85775370c8126b82f"
@@ -350,8 +354,9 @@ class TestFindLabelings:
         for l in labs[:10]:
             assert is_distance_magic(g, l)
 
-    @pytest.mark.parametrize("max_results", [0, -3])
+    @pytest.mark.parametrize("max_results", [0, -3, float("nan"), 1.5, True])
     def test_rejects_max_results_below_one(self, max_results):
+        # a cap that is not an int of at least 1 (a bool included) is refused
         with pytest.raises(SearchError):
             find_labelings(
                 wreath(4), SearchOptions(require_self_reverse=False), max_results=max_results
@@ -399,26 +404,65 @@ class TestFindLabelings:
                         h.update(b"\n")
         assert h.hexdigest() == "a837b463ad00b1fb6b53da12a8f73bc661a897c7ad4487f296d93abb7e08b967"
 
-    # circulant(12, [1, 5, -1, -5]) is wreath(6) in the same numbering, so
-    # the two graphs pin the same outputs
+    # Graphs by name: wreath6 under renumbering 7, and two twin-free graphs,
+    # cc35 (cartesian_cycles(3, 5)) and wnw18 (the graph of
+    # witness_non_wreath(18)), in their own numbering and under renumbering 7.
+    OUTPUT_GRAPHS = {
+        "wreath6": lambda: renumbered(wreath(6), 7),
+        "cc35": lambda: cartesian_cycles(3, 5),
+        "cc35-7": lambda: renumbered(cartesian_cycles(3, 5), 7),
+        "wnw18": lambda: witness_non_wreath(18)[0],
+        "wnw18-7": lambda: renumbered(witness_non_wreath(18)[0], 7),
+    }
+
+    # sha256 over labeling_to_json of each labeling of the sorted output, one
+    # per line.  wreath6 was computed before the searches skipped conjugate
+    # involutions and twin swaps, the twin-free graphs before the involution
+    # search pruned the centralizer of its partner map.
     FULL_OUTPUT_DIGESTS = {
         ("wreath6", "sr"): "5f88f52b3e99c03a6dc22d5253f1e26408b9dd41290b1437ef57f9ef7e4a2688",
         ("wreath6", "dm"): "077f19a63a798a2ef80b001788b4f04092d08eedef53762686d44462c444b299",
-        ("circ12", "sr"): "5f88f52b3e99c03a6dc22d5253f1e26408b9dd41290b1437ef57f9ef7e4a2688",
-        ("circ12", "dm"): "077f19a63a798a2ef80b001788b4f04092d08eedef53762686d44462c444b299",
+        ("cc35", "sr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("cc35", "dm"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("cc35-7", "sr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("cc35-7", "dm"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("wnw18", "sr"): "7c5849e1e9085015c7b7c41b23fef5a6608895be4574a62320652dc50be1055f",
+        ("wnw18", "dm"): "fa871408f1887d2bc96b8d343624306e6d10ee6369e4a332fafa9e7f3f3e926b",
+        ("wnw18-7", "sr"): "855bc425c2cf4cfb1d83f3fb41910e28f401882dfafed6185560bbeddb1041ac",
+        ("wnw18-7", "dm"): "30feb6707a24cb8527e52538d7d6d889c1041924ab66e873488f8fef410fcef0",
     }
 
     @pytest.mark.parametrize("name, mode", sorted(FULL_OUTPUT_DIGESTS))
     def test_full_outputs_digest(self, name, mode):
-        # sha256 over labeling_to_json of the sorted output under renumbering
-        # 7; computed before the searches skipped conjugate involutions and
-        # twin swaps
-        make = {"wreath6": lambda: wreath(6), "circ12": lambda: circulant(12, [1, 5, -1, -5])}
-        g = renumbered(make[name](), 7)
+        g = self.OUTPUT_GRAPHS[name]()
         h = hashlib.sha256()
         for l in find_labelings(g, SR if mode == "sr" else DM):
             h.update(labeling_to_json(l).encode() + b"\n")
         assert h.hexdigest() == self.FULL_OUTPUT_DIGESTS[name, mode]
+
+    # sha256 over labeling_to_json of find_labelings(g, opts, max_results=k)
+    # for k = 1, 2, 3, a blank line after each; computed before the
+    # involution search pruned the centralizer of its partner map
+    FIRST_OUTPUT_DIGESTS = {
+        ("cc35", "sr"): "6a3cf5192354f71615ac51034b3e97c20eda99643fcaf5bbe6d41ad59bd12167",
+        ("cc35", "dm"): "6a3cf5192354f71615ac51034b3e97c20eda99643fcaf5bbe6d41ad59bd12167",
+        ("cc35-7", "sr"): "6a3cf5192354f71615ac51034b3e97c20eda99643fcaf5bbe6d41ad59bd12167",
+        ("cc35-7", "dm"): "6a3cf5192354f71615ac51034b3e97c20eda99643fcaf5bbe6d41ad59bd12167",
+        ("wnw18", "sr"): "30f261cd3ca16ee480241526914dd5091fdf067cc5a80ac063707e038d4cdcaf",
+        ("wnw18", "dm"): "a5642b6921b4d5487cdcb3f141d96ddec8c4f2bdf2d9e1cc685844bd5b8b618b",
+        ("wnw18-7", "sr"): "ad79333206c6dbe146a4d64bb023abd22d9887c373d7b44433bdc62abfeeb09d",
+        ("wnw18-7", "dm"): "3d2d1227e06e7fc09ef5e8f1c9936d20c749e3335456852360dbbb6cc3fb2d94",
+    }
+
+    @pytest.mark.parametrize("name, mode", sorted(FIRST_OUTPUT_DIGESTS))
+    def test_first_outputs_digest(self, name, mode):
+        g = self.OUTPUT_GRAPHS[name]()
+        h = hashlib.sha256()
+        for k in (1, 2, 3):
+            for l in find_labelings(g, SR if mode == "sr" else DM, max_results=k):
+                h.update(labeling_to_json(l).encode() + b"\n")
+            h.update(b"\n")
+        assert h.hexdigest() == self.FIRST_OUTPUT_DIGESTS[name, mode]
 
     def test_disconnected_graph_needs_connectivity_flag_off(self):
         w3 = wreath(3)
@@ -430,10 +474,11 @@ class TestFindLabelings:
         assert all(is_distance_magic(g, l) for l in loose)
 
     def test_work_counts(self, monkeypatch):
-        # one involution search per conjugacy class, free cells and twins
-        # taken one way: wreath(6) emits 720 and 120 raw labelings for its
-        # 60 classes, against 23,040 over 45 involutions and 3,840 placements
-        # when every involution and every twin swap is searched
+        # one involution search per conjugacy class, each emitting one
+        # labeling per label graph, and twins placed one way: wreath(6) emits
+        # 60 and 120 raw labelings for its 60 classes, against 23,040 over 45
+        # involutions and 3,840 placements when every involution, every
+        # member of each centralizer and every twin swap is searched
         runs = []
 
         class Counted(_InvolutionSearch):
@@ -445,7 +490,7 @@ class TestFindLabelings:
 
         monkeypatch.setattr(search, "_InvolutionSearch", Counted)
         assert len(find_labelings(wreath(6), SR)) == 60
-        assert (len(runs), sum(runs)) == (4, 720)
+        assert (len(runs), sum(runs)) == (4, 60)
         assert sum(1 for _ in _PlacementSearch(wreath(6)).run()) == 120
 
     @pytest.mark.parametrize(
@@ -476,7 +521,7 @@ class TestFindLabelings:
                 img[a[v]] = a[s[v]]
             return tuple(img)
 
-        reps = _involutions_with_pairing(g)
+        reps = _involutions_with_pairing(g, group)
         classes = [{conjugate(a, s) for a in group} for s in reps]
         assert [len(c) for c in classes] == sizes
         assert set().union(*classes) == set(candidates)
@@ -505,27 +550,40 @@ class TestFixedGraphStreams:
     """The raw emission order of the two fixed-graph searches, before
     verification and deduplication: sha256 over labeling_to_json of each
     emitted labeling, one per line.  Renumbering 7 shuffles the vertices
-    with random.Random(7).  Pinned once the searches ran one involution per
-    conjugacy class and skipped twin swaps: wreath(5) emits 120 (SR) and 24
-    (DM) labelings, circulant(12, [1, 5, -1, -5]) 720 and 120."""
+    with random.Random(7).  cc35 is cartesian_cycles(3, 5), with no classes,
+    and wnw18 the graph of witness_non_wreath(18), with 102 classes in each
+    mode; both are twin-free.  The placement (DM) streams were pinned once
+    the search skipped twin swaps: wreath(5) emits 24 labelings, wnw18 272.
+    The involution (SR) streams were pinned once the search ran one
+    involution per conjugacy class and one labeling per orbit of its
+    centralizer: wreath(5) emits 12 labelings, wnw18 102, one per class."""
 
     DIGESTS = {
-        ("wreath5", None, "sr"): "f6f2737f814770f0d68077a992a3457d53ab6226f90354921b9330d9d4d7c0bd",
+        ("wreath5", None, "sr"): "9f2da2a2269f6dcd8c595cd2b0f02106ad67d97d73780b23998c37565ff99c2e",
         ("wreath5", None, "dm"): "34d4e27e3d689490e04b9ff18795dece8c654426a7c492703aa1e0761cfb0353",
-        ("wreath5", 7, "sr"): "b734b0769173b26aa87bc156c542e400b1fa0a27505afd8ac5fa8323801f2df7",
+        ("wreath5", 7, "sr"): "c672a908258b97ac038972ba026ae628a505db1ea62f132f9e429b4996b8f7e5",
         ("wreath5", 7, "dm"): "112ce40e9095553260df787b9a28af270b6eb39ceb1bc228591aeb6ef76b0cc3",
-        ("circ12", None, "sr"): "ebedd07ae91cdcfef7e5ece6c39ff39b13291e299eb8a6a1e714eb32fbd7f784",
-        ("circ12", None, "dm"): "d6f325dec0fd34362aa8de114f3591c85eb0c3a1699aad918f282be0e6a50ec5",
-        ("circ12", 7, "sr"): "5dd3dc559cb67076642207343583876308957af9513473cf1fe338cb132b26a3",
-        ("circ12", 7, "dm"): "b2224cf78dbdad840c38e19f49c3d2076a335063b5dc2cdd9f045ed23a7143d3",
+        ("cc35", None, "sr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("cc35", None, "dm"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("cc35", 7, "sr"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("cc35", 7, "dm"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ("wnw18", None, "sr"): "00f98f4aed6f18a5b60fb8a3c3b16fb75614d4edbe358403bfb69c592ce55c62",
+        ("wnw18", None, "dm"): "b1579f7cef26f8a367e167c8965ccf1d2dc063c2789180b82f1ba481d904b448",
+        ("wnw18", 7, "sr"): "c377bd84e8121bbf0f40c6013af724690b1a15d4b5287f9e839f37b7c24d1276",
+        ("wnw18", 7, "dm"): "22eac36d38200ae3979e660b14ea94b3b82c0b7e296fd52afc61f2ddb5f716e4",
     }
-    GRAPHS = {"wreath5": lambda: wreath(5), "circ12": lambda: circulant(12, [1, 5, -1, -5])}
+    GRAPHS = {
+        "wreath5": lambda: wreath(5),
+        "cc35": lambda: cartesian_cycles(3, 5),
+        "wnw18": lambda: witness_non_wreath(18)[0],
+    }
 
     @pytest.mark.parametrize("name, seed, mode", sorted(DIGESTS, key=str))
     def test_stream_digest(self, name, seed, mode):
         g = renumbered(self.GRAPHS[name](), seed)
         if mode == "sr":
-            searches = [_InvolutionSearch(g, s) for s in _involutions_with_pairing(g)]
+            group = automorphism_group(g)
+            searches = [_InvolutionSearch(g, s, group) for s in _involutions_with_pairing(g, group)]
         else:
             searches = [_PlacementSearch(g)]
         h = hashlib.sha256()
@@ -533,6 +591,29 @@ class TestFixedGraphStreams:
             for l in search.run():
                 h.update(labeling_to_json(l).encode() + b"\n")
         assert h.hexdigest() == self.DIGESTS[name, seed, mode]
+
+    @pytest.mark.parametrize(
+        "make, seed",
+        [
+            (lambda: wreath(5), None),
+            (lambda: wreath(6), None),
+            (lambda: cartesian_cycles(3, 6), 7),
+            (lambda: witness_non_wreath(18)[0], None),
+        ],
+        ids=["wreath5", "wreath6", "cc36-7", "wnw18"],
+    )
+    def test_one_labeling_per_label_graph(self, make, seed):
+        # labelings with one partner map and one label graph differ by a
+        # member of the partner map's centralizer, so each involution search
+        # emits every label graph once; together they give the classes
+        g = renumbered(make(), seed)
+        group = automorphism_group(g)
+        union = set()
+        for sigma in _involutions_with_pairing(g, group):
+            keys = [lg_edges(g, l) for l in _InvolutionSearch(g, sigma, group).run()]
+            assert len(keys) == len(set(keys))
+            union.update(keys)
+        assert union == {lg_edges(g, l) for l in find_labelings(g, SR)}
 
 
 class TestLazyStream:
