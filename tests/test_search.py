@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import time
@@ -58,6 +59,15 @@ def lg_edges(g, l):
     return frozenset(label_graph(g, l).edges)
 
 
+@functools.lru_cache(maxsize=None)
+def quotient_run(n):
+    """(nodes, emitted quotients) of one full quotient search at order n,
+    shared by the tests below so that tier-1 runs each order once."""
+    qs = _QuotientSearch(n)
+    emitted = tuple(qs.run())
+    return qs.nodes, emitted
+
+
 def renumbered(g, seed):
     """g itself for seed None, else g with its vertices shuffled by
     random.Random(seed)."""
@@ -107,10 +117,9 @@ class TestEnumerateSrSmall:
                 h.update(label_graph_to_json(label_graph(g, l)).encode() + b"\n")
         assert h.hexdigest() == "c465ecd3846bc8a6db24f50a29071488baac53e0d236a03762f9cca6ba5f83fc"
 
-    # orders 17 and 19 emit none; TestSearchWork checks order 21's stream
-    @pytest.mark.parametrize("n", [16, 18, 20])
+    @pytest.mark.parametrize("n", [16, 18, 20, 21])  # orders 17 and 19 emit none
     def test_emitted_quotients_round_trip(self, n):
-        emitted = list(_QuotientSearch(n).run())
+        _, emitted = quotient_run(n)
         assert emitted
         for q in emitted:
             assert quotient(*lift(q)) == q
@@ -270,25 +279,17 @@ class TestSearchWork:
 
     @pytest.mark.parametrize("n", sorted(QUOTIENT_NODES))
     def test_quotient_search_nodes(self, n):
-        qs = _QuotientSearch(n)
-        for _ in qs.run():
-            pass
-        assert qs.nodes == self.QUOTIENT_NODES[n]
+        assert quotient_run(n)[0] == self.QUOTIENT_NODES[n]
 
     def test_quotient_stream_order_21(self):
         # the only odd order with emissions that is cheap to run, so the one
         # stream pin covering the central vertex; none of the 57 lifts is
-        # rejected, so this is also the non-degenerate stream of iter_sr_pairs;
-        # each quotient must round-trip through its lift
-        qs = _QuotientSearch(21)
+        # rejected, so this is also the non-degenerate stream of iter_sr_pairs
+        nodes, emitted = quotient_run(21)
         h = hashlib.sha256()
-        count = 0
-        for q in qs.run():
-            g, l = lift(q)
-            assert quotient(g, l) == q
-            h.update(label_graph_to_json(label_graph(g, l)).encode() + b"\n")
-            count += 1
-        assert (qs.nodes, count, h.hexdigest()) == (
+        for q in emitted:
+            h.update(label_graph_to_json(label_graph(*lift(q))).encode() + b"\n")
+        assert (nodes, len(emitted), h.hexdigest()) == (
             157356, 57, "1a9e5cccb29a43500d145815ab016cba12fb4b6e6a54c2c85775370c8126b82f"
         )
 
