@@ -14,8 +14,17 @@ subtree.  The search's first path is a base of the reduced automorphism
 group, with one transversal per level, from which group orders, generators
 and full listings are derived.
 
-All values are immutable; module-level caches are keyed by graph value and
-are semantically transparent.
+canonical_code searches each isomorphism class in full once.  A full search
+records, for every leaf it meets, a certificate (the code's byte format
+computed from that leaf's order) mapped to the code.  A later graph whose
+first-path leaf has a known certificate is isomorphic to the graph searched
+and takes its code; every leaf of the full tree is an automorphic image of
+a leaf met, so isomorphic copies always hit.  The memo keeps at most
+MAX_CERTIFICATES entries and is emptied when full.
+
+All values are immutable; module-level caches are semantically transparent
+and bounded.  Threads may share them: every entry is correct, so a race can
+at worst lose one.
 """
 
 from __future__ import annotations
@@ -28,6 +37,10 @@ from typing import Iterable, Sequence
 
 MAX_CANONICAL_ORDER = 64
 MAX_LISTING_SIZE = 64_000_000  # vertex images in one group listing, n * |Aut|
+MAX_CERTIFICATES = 1 << 16  # leaf certificates kept; the memo is cleared when full
+
+# leaf certificate -> canonical code, filled by every full search
+_certificates: dict[bytes, bytes] = {}
 
 
 class GraphError(ValueError):
@@ -337,24 +350,13 @@ def _merge_orbits(parent: list[int], perm: Sequence[int]):
             parent[a] = b
 
 
-def _ir_search(neigh: Sequence[Sequence[int]], cells: list[list[int]]):
-    """Individualization-refinement search, orbit-pruned at every level.
+def _first_path(neigh: Sequence[Sequence[int]], cells: list[list[int]]):
+    """(path, zeta): the search tree's first path and the leaf it ends in.
 
-    Returns (least leaf encoding, a leaf order achieving it, gens, levels).
-    The first path individualizes the least vertex v_d of the target cell at
-    each level d, down to the leaf zeta.  Levels are then processed deepest
-    first, so every automorphism found so far fixes v_0..v_{d-1}; the tree
-    is invariant under them, so a sibling of v_d in the orbit of an explored
-    sibling roots an image of its subtree and is skipped.  Below the others,
-    a leaf equal to zeta gives an automorphism taking v_d to that sibling
-    and ends its walk; one equal to the best leaf gives an automorphism; a
-    smaller one becomes the best.  So the first path is a base: the
-    automorphisms found at levels >= d, all in gens, generate the stabilizer
-    of v_0..v_{d-1}, and levels[d] holds one of them per vertex of the orbit
-    of v_d (a Schreier search), identity first.  Every automorphism is
-    t_0∘t_1∘... for exactly one choice of t_d in levels[d].
+    Individualizes the least vertex of the target cell at each level.  path
+    lists the refined partition and target cell index of each level above
+    the leaf, and zeta is the leaf's position -> vertex order.
     """
-    n = len(neigh)
     path = []
     cells = _refine(neigh, cells)
     target = _target_cell(cells)
@@ -362,9 +364,35 @@ def _ir_search(neigh: Sequence[Sequence[int]], cells: list[list[int]]):
         path.append((cells, target))
         cells = _refine(neigh, _individualize(cells, target, min(cells[target])))
         target = _target_cell(cells)
-    zeta = [cell[0] for cell in cells]
+    return path, [cell[0] for cell in cells]
+
+
+def _ir_search(neigh: Sequence[Sequence[int]], cells: list[list[int]]):
+    """Individualization-refinement search, orbit-pruned at every level.
+
+    Returns (least leaf encoding, a leaf order achieving it, gens, levels,
+    leaves), leaves listing (encoding, order) for every leaf met.  The
+    first path (`_first_path`) individualizes the least vertex v_d of the
+    target cell at each level d, down to the leaf zeta.  Levels are then
+    processed deepest first, so every automorphism found so far fixes
+    v_0..v_{d-1}; the tree is invariant under them, so a sibling of v_d in
+    the orbit of an explored sibling roots an image of its subtree and is
+    skipped.  Below the others,
+    a leaf equal to zeta gives an automorphism taking v_d to that sibling
+    and ends its walk; one equal to the best leaf gives an automorphism; a
+    smaller one becomes the best.  So the first path is a base: the
+    automorphisms found at levels >= d, all in gens, generate the stabilizer
+    of v_0..v_{d-1}, and levels[d] holds one of them per vertex of the orbit
+    of v_d (a Schreier search), identity first.  Every automorphism is
+    t_0∘t_1∘... for exactly one choice of t_d in levels[d].  Every leaf
+    of the whole tree is the image of a leaf met under an automorphism, so
+    it has the encoding of a leaf met.
+    """
+    n = len(neigh)
+    path, zeta = _first_path(neigh, cells)
     zeta_enc = best_enc = _encode_leaf(neigh, zeta)
     best = zeta
+    leaves = [(zeta_enc, zeta)]
     identity = tuple(range(n))
     gens: list[tuple[int, ...]] = []
     parent = list(range(n))
@@ -382,6 +410,7 @@ def _ir_search(neigh: Sequence[Sequence[int]], cells: list[list[int]]):
                 continue
             explored.append(v)
             for enc, order in _leaves(neigh, _individualize(cells, target, v)):
+                leaves.append((enc, order))
                 if enc == zeta_enc:
                     record(_leaf_map(zeta, order))
                     break
@@ -400,7 +429,14 @@ def _ir_search(neigh: Sequence[Sequence[int]], cells: list[list[int]]):
                     trans[x] = perm if t is identity else tuple(perm[y] for y in t)
                     queue.append(x)
         levels.insert(0, tuple(trans.values()))
-    return best_enc, best, tuple(gens), tuple(levels)
+    return best_enc, best, tuple(gens), tuple(levels), leaves
+
+
+def _check_order(g: Graph):
+    if g.n > MAX_CANONICAL_ORDER:
+        raise GraphError(
+            f"order {g.n} exceeds the canonical-form limit {MAX_CANONICAL_ORDER}"
+        )
 
 
 def _initial_cells(sizes: Sequence[int]) -> list[list[int]]:
@@ -409,6 +445,15 @@ def _initial_cells(sizes: Sequence[int]) -> list[list[int]]:
     for i, s in enumerate(sizes):
         by_size.setdefault(s, []).append(i)
     return [by_size[s] for s in sorted(by_size)]
+
+
+def _code(n: int, sizes: Sequence[int], enc: tuple[int, ...], order: list[int]) -> bytes:
+    """The code's byte format for one leaf of the twin-reduced graph: n, k,
+    the class sizes in leaf order, then the adjacency rows, big-endian."""
+    k = len(enc)
+    rowbytes = (k + 7) // 8
+    head = bytes([n, k]) + bytes(sizes[v] for v in order)
+    return head + b"".join(row.to_bytes(rowbytes, "big") for row in enc)
 
 
 @lru_cache(maxsize=4096)
@@ -421,28 +466,33 @@ def _canonical_data(g: Graph):
     classes[i]), and levels holds a transversal for each level of the
     search's first path, a base: the group is {t_0∘t_1∘...} and is never
     listed here.  Cached per graph value, least recently used first out;
-    all consumers below share this computation.
+    all consumers below share this computation.  Each leaf the search met
+    is recorded in _certificates for canonical_code.
     """
-    if g.n > MAX_CANONICAL_ORDER:
-        raise GraphError(
-            f"order {g.n} exceeds the canonical-form limit {MAX_CANONICAL_ORDER}"
-        )
+    _check_order(g)
     reduced, sizes, classes = _reduce_twins(g)
-    enc, best, gens, levels = _ir_search(reduced, _initial_cells(sizes))
-    k = len(reduced)
-    head = bytes([g.n, k]) + bytes(sizes[v] for v in best)
-    rowbytes = (k + 7) // 8
-    body = b"".join(row.to_bytes(rowbytes, "big") for row in enc)
-    return (head + body, classes, gens, levels)
+    enc, best, gens, levels, leaves = _ir_search(reduced, _initial_cells(sizes))
+    code = _code(g.n, sizes, enc, best)
+    if len(_certificates) + len(leaves) > MAX_CERTIFICATES:
+        _certificates.clear()
+    for leaf_enc, order in leaves[:MAX_CERTIFICATES]:
+        _certificates[_code(g.n, sizes, leaf_enc, order)] = code
+    return (code, classes, gens, levels)
 
 
 def canonical_code(g: Graph) -> bytes:
     """Order-invariant encoding of g's isomorphism class.
 
     Equal codes characterize isomorphic graphs for orders up to
-    MAX_CANONICAL_ORDER; serialize with .hex() for the wire format.
+    MAX_CANONICAL_ORDER; serialize with .hex() for the wire format.  When
+    the leaf of g's first path has a known certificate, g is isomorphic to
+    the graph searched and takes its code; otherwise g is searched in full.
     """
-    return _canonical_data(g)[0]
+    _check_order(g)
+    reduced, sizes, _ = _reduce_twins(g)
+    _, zeta = _first_path(reduced, _initial_cells(sizes))
+    code = _certificates.get(_code(g.n, sizes, _encode_leaf(reduced, zeta), zeta))
+    return code if code is not None else _canonical_data(g)[0]
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -543,10 +593,7 @@ def is_vertex_transitive(g: Graph) -> bool:
 
     Works from generators, so it is limited by MAX_CANONICAL_ORDER only.
     """
-    if g.n > MAX_CANONICAL_ORDER:
-        raise GraphError(
-            f"order {g.n} exceeds the canonical-form limit {MAX_CANONICAL_ORDER}"
-        )
+    _check_order(g)
     if g.n == 0:
         return True
     return len(_vertex_orbits(g)) == 1
@@ -557,10 +604,7 @@ def is_edge_transitive(g: Graph) -> bool:
 
     Works from generators, so it is limited by MAX_CANONICAL_ORDER only.
     """
-    if g.n > MAX_CANONICAL_ORDER:
-        raise GraphError(
-            f"order {g.n} exceeds the canonical-form limit {MAX_CANONICAL_ORDER}"
-        )
+    _check_order(g)
     edges = g.edges()
     if not edges:
         return True

@@ -153,7 +153,12 @@ def is_self_reverse(g: Graph, l: Labeling) -> bool:
 def is_degenerate(g: Graph, l: Labeling) -> bool:
     """Some vertex u (not self-paired) is adjacent to both members of another pair."""
     _check_same_order(g, l)
-    part = [l.partner(v) for v in range(g.n)]
+    return pairing_is_degenerate(g, [l.partner(v) for v in range(g.n)])
+
+
+def pairing_is_degenerate(g: Graph, part: Sequence[int]) -> bool:
+    """is_degenerate for every labeling of g whose partner map is part:
+    the property depends on the pairs only, not on the labels."""
     for u in range(g.n):
         if part[u] == u:
             continue

@@ -40,6 +40,7 @@ from .labelings import (
     is_self_reverse,
     label_graph,
     label_set,
+    pairing_is_degenerate,
 )
 from .quotients import DASHED, SOLID, QuotientGraph, lift
 
@@ -863,10 +864,12 @@ def find_labelings(
     With the self-reverse flag Aut(g) is listed once, and the search runs
     once per Aut(g)-conjugacy class of candidate partner involutions; each
     run emits one labeling per label graph, skipping the relabelings by the
-    involution's centralizer.  Otherwise it is a direct exhaustive
-    placement that skips branches that only swap twin vertices.  What the
-    searches skip repeats label graphs already emitted earlier in the
-    stream, so the order in which label graphs first appear, and with it
+    involution's centralizer; with the non-degenerate flag, an involution
+    whose pairs alone make a labeling degenerate is not searched.
+    Otherwise it is a direct exhaustive placement that skips branches that
+    only swap twin vertices.  What the searches skip either repeats label
+    graphs already emitted earlier in the stream or fails the flags, so
+    the order in which label graphs first appear, and with it
     the representative of each, is that of the search over every involution
     and every relabeling.  An optional cap (an int, at least 1) stops after
     that many distinct classes, which makes existence checks cheap; it
@@ -885,9 +888,11 @@ def find_labelings(
     deadline = _deadline(opts)
     if opts.require_self_reverse:
         group = _graphs.automorphism_group(g)
-        searches = (
-            _InvolutionSearch(g, s, group, deadline) for s in _involutions_with_pairing(g, group)
-        )
+        sigmas = _involutions_with_pairing(g, group)
+        if opts.require_nondegenerate:
+            # every labeling with such a partner map is degenerate
+            sigmas = [s for s in sigmas if not pairing_is_degenerate(g, s)]
+        searches = (_InvolutionSearch(g, s, group, deadline) for s in sigmas)
     else:
         searches = [_PlacementSearch(g, deadline)]
     # the predicates depend on the label graph only, and only the placement

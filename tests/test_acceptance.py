@@ -96,7 +96,7 @@ def test_criterion_2_table1_order_23():
 
 @pytest.mark.skipif(
     not os.environ.get("MAGICLAB_ACCEPT_LONG"),
-    reason="order-24 verification is optional (measured ~2 minutes; "
+    reason="order-24 verification is optional (measured 35-50 s; "
     "set MAGICLAB_ACCEPT_LONG=1 to run)",
 )
 def test_criterion_2_stretch_order_24():

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from functools import lru_cache
 from itertools import combinations, islice, permutations
 from math import factorial
 
@@ -206,10 +207,13 @@ class TestCanonicalForm:
 
     def test_cache_is_bounded(self):
         # a spider with legs 1, 2, 3 has no nontrivial automorphism, so every
-        # renumbering is a distinct graph value and a distinct cache key
+        # renumbering is a distinct graph value and a distinct cache key;
+        # canonical_code takes their code from the certificate memo, so the
+        # group queries are what fill the cache
         spider = Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
         graphs = {apply_permutation(spider, p) for p in islice(permutations(range(7)), 4200)}
         assert len(graphs) == 4200
+        assert {group_order(g) for g in graphs} == {1}
         assert len({canonical_code(g) for g in graphs}) == 1
         assert _canonical_data.cache_info().currsize <= 4096
 
@@ -422,6 +426,75 @@ class TestPinnedOutputs:
                 facts.append(automorphism_group(g))
             h.update(repr(facts).encode())
         assert h.hexdigest() == "f3a1ff504fce9f8823022d4974bdc56b553c814a9d69d73fa14e38465947b8d3"
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty certificate memo and canonical-data cache for one test; the
+    list returned gets an entry for each full canonical-form search."""
+    monkeypatch.setattr(graphs, "_certificates", {})
+    monkeypatch.setattr(
+        graphs, "_canonical_data", lru_cache(maxsize=4096)(_canonical_data.__wrapped__)
+    )
+    searches = []
+    ir_search = graphs._ir_search
+    monkeypatch.setattr(graphs, "_ir_search", lambda *args: searches.append(1) or ir_search(*args))
+    return searches
+
+
+class TestCertificateMemo:
+    """canonical_code takes the code of an isomorphic graph searched before
+    from the certificate of its first leaf, and falls back to the search."""
+
+    @staticmethod
+    def pinned_graphs():
+        from magiclab.search import SearchOptions, enumerate_dm, enumerate_sr
+
+        dm, _ = enumerate_dm(12, SearchOptions(require_self_reverse=False))
+        sr, _ = enumerate_sr(14, SearchOptions())
+        return [g for g, _ in dm] + [g for g, _ in sr] + TestPinnedOutputs.family_graphs()
+
+    def test_cold_and_warm_codes_agree(self, cold_memo):
+        def clear():
+            graphs._certificates.clear()
+            graphs._canonical_data.cache_clear()
+            cold_memo.clear()
+
+        pinned = self.pinned_graphs()
+        cold = []
+        for g in pinned:
+            clear()
+            cold.append(canonical_code(g))
+        order = list(range(len(pinned)))
+        random.Random(13).shuffle(order)
+        clear()
+        for i in order:
+            assert canonical_code(pinned[i]) == cold[i]
+        # each isomorphism class is searched once, by its first graph
+        assert len(cold_memo) == len(set(cold))
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=small_graphs(), h=small_graphs(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    # K_{1,3} and C_4 both reduce to an edge, with twin classes of sizes 1, 3 and 2, 2
+    @example(g=Graph(4, [(0, 1), (0, 2), (0, 3)]), h=cycle(4), seed=0)
+    def test_warm_code_is_the_searched_code(self, g, h, seed):
+        searches = []
+        ir_search = graphs._ir_search
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_ir_search", lambda *args: searches.append(1) or ir_search(*args))
+            code = _canonical_data.__wrapped__(g)[0]
+            searches.clear()
+            assert canonical_code(renumbered(g, seed)) == code
+            assert searches == []
+            assert canonical_code(h) == _canonical_data.__wrapped__(h)[0]
+
+    def test_memo_is_bounded(self, cold_memo, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_CERTIFICATES", 8)
+        sizes = []
+        for g in [path(n) for n in range(1, 25)] + [cycle(n) for n in range(3, 25)]:
+            assert canonical_code(g) == _canonical_data.__wrapped__(g)[0]
+            sizes.append(len(graphs._certificates))
+        assert 0 < max(sizes) <= 8
 
 
 def _divides(group_size: int, n: int) -> bool:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magiclab import search
+from magiclab import graphs, search
 
 from magiclab.families import cartesian_cycles, circulant, wreath
 from magiclab.graphs import (
@@ -80,6 +80,7 @@ def renumbered(g, seed):
 
 SR = SearchOptions(require_self_reverse=True)
 DM = SearchOptions(require_self_reverse=False)
+ND = SearchOptions(require_self_reverse=True, require_nondegenerate=True)
 
 
 class TestEnumerateSrSmall:
@@ -293,6 +294,34 @@ class TestSearchWork:
             157356, 57, "1a9e5cccb29a43500d145815ab016cba12fb4b6e6a54c2c85775370c8126b82f"
         )
 
+    # (report row, full canonical-form searches) of classifications run with
+    # an empty certificate memo: one search per isomorphism class, the other
+    # graphs taking their code from the memo
+    CLASSIFICATION = {
+        ("sr", 16): ((2568, 1, 1), 1),
+        ("nd", 18): ((136, 2, 1), 2),
+        ("nd", 20): ((66, 2, 1), 2),
+        ("nd", 21): ((57, 7, 0), 7),
+        ("dm", 14): ((972, 2, 1), 2),
+    }
+
+    @pytest.mark.parametrize("kind, n", sorted(CLASSIFICATION))
+    def test_classification_searches(self, monkeypatch, kind, n):
+        if kind == "nd":
+            stream = map(lift, quotient_run(n)[1])
+        monkeypatch.setattr(graphs, "_certificates", {})
+        fresh = functools.lru_cache(maxsize=4096)(graphs._canonical_data.__wrapped__)
+        monkeypatch.setattr(graphs, "_canonical_data", fresh)
+        calls = []
+        ir_search = graphs._ir_search
+        monkeypatch.setattr(graphs, "_ir_search", lambda *args: calls.append(1) or ir_search(*args))
+        if kind == "nd":
+            _, rep = search._collect(n, stream, ND, None)
+        else:
+            _, rep = enumerate_sr(n, SR) if kind == "sr" else enumerate_dm(n, DM)
+        row = (rep.sr_count, rep.iso_class_count, rep.vt_count)
+        assert (row, len(calls)) == self.CLASSIFICATION[kind, n]
+
     # (nodes, raw emissions, sha256 over label_graph_to_json of each, in order)
     DM_STREAMS = {
         10: (331, 12, "e440810b86cf5710cd9984e7d8ff3b7e4544873c997525a0185aa37e725892b7"),
@@ -493,6 +522,35 @@ class TestFindLabelings:
         assert len(find_labelings(wreath(6), SR)) == 60
         assert (len(runs), sum(runs)) == (4, 60)
         assert sum(1 for _ in _PlacementSearch(wreath(6)).run()) == 120
+
+    @pytest.mark.parametrize(
+        "make, seed",
+        [(lambda: wreath(6), None), (lambda: wreath(8), None), (lambda: cartesian_cycles(3, 6), 7)],
+        ids=["wreath6", "wreath8", "cc36-7"],
+    )
+    def test_nondegenerate_is_filtered_self_reverse(self, make, seed):
+        # the partner maps skipped under the non-degenerate flag give
+        # degenerate labelings only, so the classes and their
+        # representatives are those of the self-reverse search
+        g = renumbered(make(), seed)
+        kept = [l for l in find_labelings(g, SR) if not is_degenerate(g, l)]
+        assert find_labelings(g, ND) == kept
+
+    def test_degenerate_partner_maps_not_searched(self, monkeypatch):
+        # two of the four partner-map classes of wreath(6) and of wreath(8)
+        # put both members of a pair next to a vertex of another pair
+        runs = []
+
+        class Counted(_InvolutionSearch):
+            def run(self):
+                runs.append(self)
+                yield from super().run()
+
+        monkeypatch.setattr(search, "_InvolutionSearch", Counted)
+        for k, classes in ((6, 0), (8, 48)):
+            runs.clear()
+            assert len(find_labelings(wreath(k), ND)) == classes
+            assert len(runs) == 2
 
     @pytest.mark.parametrize(
         "make, sizes",
