@@ -35,7 +35,7 @@ from .labelings import (
     is_balanced,
     is_distance_magic,
 )
-from .quotients import SOLID, quotient
+from .quotients import SOLID, QuotientGraph, quotient
 from . import search as _search
 
 
@@ -205,7 +205,11 @@ def cyclet_from_quotient_edge(g: Graph, l: Labeling, a: int, b: int) -> Cyclet:
     """
     if a <= 0 or b <= 0:
         raise MergeError("quotient-edge cyclets avoid the central vertex; labels must be positive")
-    q = quotient(g, l)
+    return _quotient_edge_cyclet(g, l, quotient(g, l), a, b)
+
+
+def _quotient_edge_cyclet(g: Graph, l: Labeling, q: QuotientGraph, a: int, b: int) -> Cyclet:
+    """cyclet_from_quotient_edge for positive a and b, given q = quotient(g, l)."""
     color = q.edge_color(a, b)
     if color is None:
         raise MergeError(f"{{{a},{b}}} is not a quotient edge")
@@ -218,6 +222,13 @@ def cyclet_from_quotient_edge(g: Graph, l: Labeling, a: int, b: int) -> Cyclet:
 
 
 _W4_EDGE = (1, 5)  # the solid quotient edge of the 8-vertex block consumed per extension
+
+
+@lru_cache(maxsize=1)
+def _w4_block() -> tuple[Graph, Labeling, Cyclet]:
+    """The 8-vertex block merged in per extension, its labeling and cyclet."""
+    w4, l4 = wreath(4), wreath_nondegenerate_labeling(4)
+    return w4, l4, cyclet_from_quotient_edge(w4, l4, *_W4_EDGE)
 
 
 def extend_by_w4(g: Graph, l: Labeling, a: int, b: int) -> tuple[Graph, Labeling]:
@@ -233,17 +244,20 @@ def extend_by_w4(g: Graph, l: Labeling, a: int, b: int) -> tuple[Graph, Labeling
     if b - a != 4:
         raise MergeError(f"extension needs quotient labels differing by 4, got {a},{b}")
     c = cyclet_from_quotient_edge(g, l, a, b)
-    w4 = wreath(4)
-    l4 = wreath_nondegenerate_labeling(4)
-    c2 = cyclet_from_quotient_edge(w4, l4, *_W4_EDGE)
-    report = check_merge_conditions(g, l, c, w4, l4, c2)
-    if not (report.mergeable and (report.sr_condition_i or report.sr_condition_ii)):
-        raise MergeError(f"merge conditions unexpectedly fail: {report}")
-    merged = merge(g, c, w4, c2)
-    lab = merged_labeling(g, l, w4, l4)
+    merged, lab = _merge_w4(g, l, c)
     if not _search._labeling_ok(merged, lab, _search.SearchOptions(require_nondegenerate=True)):
         raise MergeError("extension produced an invalid labeling")
     return merged, lab
+
+
+def _merge_w4(g: Graph, l: Labeling, c: Cyclet) -> tuple[Graph, Labeling]:
+    """Merge the 8-vertex block into g along the quotient-edge cyclet c,
+    after checking the merge conditions; the output is not re-verified."""
+    w4, l4, c2 = _w4_block()
+    report = check_merge_conditions(g, l, c, w4, l4, c2)
+    if not (report.mergeable and (report.sr_condition_i or report.sr_condition_ii)):
+        raise MergeError(f"merge conditions unexpectedly fail: {report}")
+    return merge(g, c, w4, c2), merged_labeling(g, l, w4, l4)
 
 
 # -- witnesses ----------------------------------------------------------------
@@ -251,10 +265,9 @@ def extend_by_w4(g: Graph, l: Labeling, a: int, b: int) -> tuple[Graph, Labeling
 BASE_ORDERS = (18, 20, 21, 23, 24, 25, 27, 30)
 
 
-def _extensible_edge(g: Graph, l: Labeling) -> Optional[tuple[int, int]]:
-    """Lexicographically first solid quotient edge with semiedges at both
-    ends and labels differing by 4, if any."""
-    q = quotient(g, l)
+def _extensible_edge(q: QuotientGraph) -> Optional[tuple[int, int]]:
+    """Lexicographically first solid edge of the quotient q with semiedges
+    at both ends and labels differing by 4, if any."""
     for a, b, color in q.edges:
         if color == SOLID and a > 0 and b - a == 4 and a in q.semiedges and b in q.semiedges:
             return a, b
@@ -278,7 +291,7 @@ def _candidates(order: int) -> Iterator[tuple[Graph, Labeling]]:
     extensible quotient edge, in emission order."""
     opts = _search.SearchOptions(require_nondegenerate=True)
     for g, l in _search.iter_sr_pairs(order, opts):
-        if not _is_wreath(g) and _extensible_edge(g, l) is not None:
+        if not _is_wreath(g) and _extensible_edge(quotient(g, l)) is not None:
             yield g, l
 
 
@@ -292,11 +305,16 @@ def _find_base(order: int) -> tuple[Graph, Labeling]:
 
 
 def _extend_chain(g: Graph, l: Labeling, times: int) -> tuple[Graph, Labeling]:
+    """Extend by the 8-vertex block times times, each along the extensible
+    edge.  One quotient per step serves the edge and the cyclet; folding it
+    re-checks the previous step's labeling, and the caller verifies the
+    last."""
     for _ in range(times):
-        edge = _extensible_edge(g, l)
+        q = quotient(g, l)
+        edge = _extensible_edge(q)
         if edge is None:
             raise MergeError("extension chain lost its extensible edge")
-        g, l = extend_by_w4(g, l, *edge)
+        g, l = _merge_w4(g, l, _quotient_edge_cyclet(g, l, q, *edge))
     return g, l
 
 

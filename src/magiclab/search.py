@@ -12,8 +12,12 @@ all-labelings search of small orders, and on a fixed graph the search per
 partner involution and the direct label placement.  Each completes one
 position at a time on one explicit stack, and each position's chooser tests
 every candidate against the balance look-ahead before returning it, so no
-choice is applied only to be undone.  The searches run in the calling thread;
-emission order is deterministic.  Both enumerators pass their pairs, lifted
+choice is applied only to be undone.  The quotient search keeps each
+position's open slots and partial balance in one int and tabulates the
+look-ahead per pair of positions when it starts, so its chooser reads one
+list entry per later position; the other searches test their candidates
+in place.  The searches run in the calling thread; emission order is
+deterministic.  Both enumerators pass their pairs, lifted
 from quotients by quotients.lift or unfolded from label graphs, through one
 verify, sort and classify step under the search's deadline.
 
@@ -58,8 +62,10 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Search flags.  thread_budget (at least 1) is accepted for
-    compatibility; every search runs in the calling thread."""
+    """Search flags.  time_limit is None or a positive int or float (in
+    seconds); thread_budget, an int of at least 1, is accepted for
+    compatibility: every search runs in the calling thread.  Other values
+    raise SearchError."""
 
     require_self_reverse: bool = True
     require_nondegenerate: bool = False
@@ -71,10 +77,17 @@ class SearchOptions:
     def __post_init__(self):
         if self.valence != 4:
             raise SearchError("only valence 4 is supported")
-        if self.time_limit is not None and not self.time_limit > 0:  # nan too
-            raise SearchError("time limit must be positive")
-        if self.thread_budget < 1:
-            raise SearchError("thread budget must be at least 1")
+        if self.time_limit is not None and not (
+            _is_number(self.time_limit, float) and self.time_limit > 0  # nan too
+        ):
+            raise SearchError("time limit must be a positive int or float")
+        if not (_is_number(self.thread_budget) and self.thread_budget >= 1):
+            raise SearchError("thread budget must be an int of at least 1")
+
+
+def _is_number(x, *types) -> bool:
+    """Whether x is an int, or one of the extra types, and not a bool."""
+    return isinstance(x, (int, *types)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -137,32 +150,33 @@ def _bound_table(mags: list[int]) -> list[list[list[int]]]:
     ]
 
 
-def _walk(out, tag, picks, cand, vals, signs, skips, forced, pre, start, need, target):
+def _walk(out, tag, picks, recs, forced, pre, start, need, target):
     """Append (tag, picks + more) for every way to pick need more candidates
-    from cand[start:] that hits target, taking each with its signs before
+    from recs[start:] that hits target, taking each with its signs before
     leaving it out.  The caller has checked that need >= 1, forced[start] <=
     need and |target| <= pre[start + need] - pre[start]."""
-    for ci in range(start, len(cand) - need + 1):
+    for ci in range(start, len(recs) - need + 1):
         if abs(target) > pre[ci + need] - pre[ci]:
             return
+        q, b, signs, skip = recs[ci]
         if forced[ci + 1] < need:
-            q, b = cand[ci], vals[ci]
             room = pre[ci + need] - pre[ci + 1]  # 0 for the last pick
-            for sig in signs[ci]:
+            for sig in signs:
                 rest = target - sig * b
                 if -room <= rest <= room:
                     if need == 1:
                         out.append((tag, (*picks, (q, sig))))
                     else:
-                        _walk(out, tag, (*picks, (q, sig)), cand, vals, signs, skips, forced,
-                              pre, ci + 1, need - 1, rest)
-        if not skips[ci]:
+                        _walk(out, tag, (*picks, (q, sig)), recs, forced, pre, ci + 1,
+                              need - 1, rest)
+        if not skip:
             return
 
 
-def _subset_choices(cand, vals, signs, skips, wants) -> list[tuple[int, tuple]]:
+def _subset_choices(recs, wants) -> list[tuple[int, tuple]]:
     """Every way to pick candidates so that their signed values hit a target.
 
+    recs holds one record (candidate, value, signs, skip) per candidate.
     For each (tag, need, target) in wants, pick exactly need candidates,
     each with one of its allowed signs, so that the sum of sign * value is
     target; candidates whose skip flag is False must be picked.  Results are
@@ -172,23 +186,26 @@ def _subset_choices(cand, vals, signs, skips, wants) -> list[tuple[int, tuple]]:
     what need picks can reach: _walk descends only where they can, and ends
     the last pick at the first magnitude below the target's.  Wants needing
     no walk are settled before the prefix sums are built."""
-    n_forced = skips.count(False)
+    n_forced = 0
+    for r in recs:
+        if not r[3]:
+            n_forced += 1
     out: list[tuple[int, tuple]] = []
     pre = forced = None
     for tag, need, target in wants:
-        if need < n_forced or need > len(cand):
+        if need < n_forced or need > len(recs):
             continue
         if need == 0:
             if target == 0:
                 out.append((tag, ()))
             continue
         if pre is None:
-            pre, forced = [0], [n_forced]  # sum of |vals[:ci]|, must-picks in cand[ci:]
-            for x, skip in zip(vals, skips):
+            pre, forced = [0], [n_forced]  # sum of |values[:ci]|, must-picks in recs[ci:]
+            for _, x, _, skip in recs:
                 pre.append(pre[-1] + abs(x))
                 forced.append(forced[-1] - (not skip))
         if abs(target) <= pre[need]:
-            _walk(out, tag, (), cand, vals, signs, skips, forced, pre, 0, need, target)
+            _walk(out, tag, (), recs, forced, pre, 0, need, target)
     return out
 
 
@@ -246,6 +263,56 @@ def _quotient_positions(n: int) -> list[int]:
     return [lab for lab in range(n - 1, stop, -2)]
 
 
+def _look_ahead(a: int, lab: int, bound: list[int], cap: int) -> tuple:
+    """The balance tests on a later vertex once the vertex labeled a is
+    complete, for the vertex labeled lab with cap >= 1 open slots: the
+    tests for leaving it out, for picking it with sign +1 and with sign -1.
+    bound[c] is the sum of the c largest labels its future neighbors can
+    have, and either the open slots balance the partial balance b or one of
+    them is the semiedge, worth lab.  So each test holds when b lies in one
+    of two closed intervals (lo, hi); lo > hi is empty."""
+    c = cap - 1
+    r = bound[c - 1] if c else -1  # the semiedge needs a slot left after the pick
+    return (
+        ((-bound[cap], bound[cap]), (lab - bound[c], lab + bound[c])),
+        ((-a - bound[c], -a + bound[c]), (lab - a - r, lab - a + r)),
+        ((a - bound[c], a + bound[c]), (lab + a - r, lab + a + r)),
+    )
+
+
+_DEAD = False  # the verdict on a later vertex that can no longer balance
+
+
+def _verdict(q: int, lab: int, tests: tuple, b: int):
+    """The chooser's verdict on later position q at partial balance b under
+    the _look_ahead tests: its record (q, lab, signs, skip) when it can be
+    picked, None when it can only be left out, _DEAD when neither."""
+    skip, plus, minus = [lo <= b <= hi or lo2 <= b <= hi2 for (lo, hi), (lo2, hi2) in tests]
+    if plus or minus:
+        return q, lab, (1, -1) if plus and minus else (1,) if plus else (-1,), skip
+    return None if skip else _DEAD
+
+
+def _look_ahead_row(q: int, a: int, lab: int, bound: list[int], B: int) -> list:
+    """The verdicts on later position q, labeled lab, once the vertex
+    labeled a is complete, at index cap * W + b + B for cap open slots and
+    partial balance b, |b| <= B, with W = 2B + 1.  The verdict is constant
+    between consecutive interval ends of the tests, so _verdict is evaluated
+    at those only; equal records are shared."""
+    W = 2 * B + 1
+    row = [None] * (5 * W)  # cap 0: full
+    recs: dict = {}
+    for cap in range(1, 5):
+        tests = _look_ahead(a, lab, bound, cap)
+        ends = {e for t in tests for lo, hi in t for e in (lo, hi + 1)}
+        cuts = sorted({-B, B + 1, *(e for e in ends if -B < e <= B)})
+        at = cap * W + B
+        for lo, hi in zip(cuts, cuts[1:]):
+            v = _verdict(q, lab, tests, lo)
+            row[at + lo:at + hi] = [recs.setdefault(v, v)] * (hi - lo)
+    return row
+
+
 class _QuotientSearch(_Backtracker):
     """Backtracking state for one order.
 
@@ -262,84 +329,84 @@ class _QuotientSearch(_Backtracker):
     chooser applies it to each candidate neighbor, picked with either sign
     or left out, before combining them: it returns exactly the choices after
     which every later vertex passes, in subset-sum enumeration order.
+
+    The state of position q is one int, st[q] = cap * W + b + B, with cap
+    its open slots, b its partial balance, B = 4n > |b| and W = 2B + 1; an
+    edge with sign sig from the vertex labeled a adds sig * a - W.  The
+    verdict on q as a candidate while completing p depends on p, q and st[q]
+    only, so __init__ tabulates it (_look_ahead_row): rows[p][q - p - 1]
+    [st[q]] is q's record (q, label, signs, skip), None (full, or not
+    pickable but may be left out) or _DEAD.  The central vertex (odd
+    orders) is the last later position, with the record (m, 0, (1,), skip)
+    while it lacks edges: it needs two, at most one from each position, and
+    only the cap part of its state is read.  So a node's scan is one list
+    lookup per later position, and the wants of p itself come from
+    divmod(st[p], W).  The rows hold about 5 * W * m^2 / 2 shared entries:
+    0.3 MB at n = 20, 1 MB at n = 30.
     """
 
-    __slots__ = ("n", "labs", "central", "deg", "ssum", "semi", "edges", "bound")
+    __slots__ = ("n", "labs", "central", "st", "W", "B", "chosen", "rows")
 
     def __init__(self, n: int, deadline: Optional[float] = None):
         self.n = n
         self.labs = _quotient_positions(n)
-        super().__init__(len(self.labs), deadline)
+        m = len(self.labs)
+        super().__init__(m, deadline)
         self.central = n % 2 == 1
-        self.deg = [0] * (self.m + 1)
-        self.ssum = [0] * self.m
-        self.semi = [False] * self.m
-        self.edges: list[tuple[int, int, int]] = []
-        self.bound = _bound_table(self.labs)
+        self.B = B = 4 * n
+        self.W = W = 2 * B + 1
+        self.st = [4 * W + B] * (m + self.central)
+        self.chosen: list[tuple[int, tuple]] = [(0, ())] * m  # the choice applied per position
+        bounds = _bound_table(self.labs)
+        self.rows = []
+        for p, a in enumerate(self.labs):
+            rows_p = [
+                _look_ahead_row(q, a, self.labs[q], bounds[p][q], B) for q in range(p + 1, m)
+            ]
+            if self.central:
+                row = [None] * (5 * W)
+                for cap in (3, 4):  # one edge or none yet
+                    short = cap - 2 - (m - p - 1)  # edges missing beyond one per later position
+                    v = _DEAD if short > 1 else (m, 0, (1,), short <= 0)
+                    row[cap * W:(cap + 1) * W] = [v] * W
+                rows_p.append(row)
+            self.rows.append(rows_p)
 
     def _snapshot(self) -> QuotientGraph:
         labs = [*self.labs, 0]  # position m is the central vertex
-        edges = [(labs[p], labs[q], SOLID if sig > 0 else DASHED) for p, q, sig in self.edges]
-        semi = [labs[p] for p in range(self.m) if self.semi[p]]
+        edges = [
+            (labs[p], labs[q], SOLID if sig > 0 else DASHED)
+            for p, (_, picks) in enumerate(self.chosen)
+            for q, sig in picks
+        ]
+        semi = [labs[p] for p, (s, _) in enumerate(self.chosen) if s]
         return QuotientGraph(self.n, edges, semi, self.central)
 
     def _apply(self, p: int, choice):
-        s, picks = choice
-        self.semi[p] = bool(s)
-        a = self.labs[p]
-        for q, sig in picks:
-            self.deg[q] += 1
-            self.edges.append((p, q, sig))
-            if q < self.m:
-                self.ssum[q] += sig * a
+        self.chosen[p] = choice
+        a, st, W = self.labs[p], self.st, self.W
+        for q, sig in choice[1]:
+            st[q] += sig * a - W
 
     def _undo(self, p: int, choice):
-        self.semi[p] = False
-        a = self.labs[p]
+        a, st, W = self.labs[p], self.st, self.W
         for q, sig in choice[1]:
-            self.deg[q] -= 1
-            self.edges.pop()
-            if q < self.m:
-                self.ssum[q] -= sig * a
+            st[q] -= sig * a - W
 
     def _choices(self, p: int) -> list[tuple[int, tuple]]:
         """All (semiedge flag, edge picks) pairs completing position p that
         leave every later vertex able to balance, in search order."""
-        labs, m, deg, ssum = self.labs, self.m, self.deg, self.ssum
-        a = labs[p]
-        bounds = self.bound[p]
-        cand: list[int] = []
-        vals: list[int] = []
-        signs: list[tuple[int, ...]] = []
-        skips: list[bool] = []
-        for q in range(p + 1, m):
-            cap = 4 - deg[q]
-            if cap == 0:
-                continue
-            lab, b, bound = labs[q], ssum[q], bounds[q]
-            skip = abs(b) <= bound[cap] or abs(lab - b) <= bound[cap - 1]
-            c = cap - 1
-            plus = abs(b + a) <= bound[c] or (c > 0 and abs(lab - b - a) <= bound[c - 1])
-            minus = abs(b - a) <= bound[c] or (c > 0 and abs(lab - b + a) <= bound[c - 1])
-            if plus or minus:
-                cand.append(q)
-                vals.append(lab)
-                signs.append((1, -1) if plus and minus else (1,) if plus else (-1,))
-                skips.append(skip)
-            elif not skip:
+        st = self.st
+        recs = []
+        for row, s in zip(self.rows[p], st[p + 1:]):
+            r = row[s]
+            if r:
+                recs.append(r)
+            elif r is _DEAD:
                 return []
-        if self.central and deg[m] < 2:
-            # the central vertex needs 2 - deg[m] more edges, at most one
-            # from each remaining position
-            short = 2 - deg[m] - (m - p - 1)
-            if short > 1:
-                return []
-            cand.append(m)
-            vals.append(0)
-            signs.append((1,))
-            skips.append(short <= 0)
-        wants = [(s, 4 - s - deg[p], s * a - ssum[p]) for s in (0, 1)]
-        return _subset_choices(cand, vals, signs, skips, wants)
+        cap, b = divmod(st[p], self.W)
+        b -= self.B
+        return _subset_choices(recs, [(0, cap, -b), (1, cap - 1, self.labs[p] - b)])
 
 
 def _labeling_ok(g: Graph, l: Labeling, opts: SearchOptions) -> bool:
@@ -494,7 +561,7 @@ class _DMSearch(_Backtracker):
     the c largest later magnitudes other than its own.
     """
 
-    __slots__ = ("n", "labs", "deg", "ssum", "edges", "bound")
+    __slots__ = ("n", "labs", "deg", "ssum", "edges", "bound", "recs")
 
     def __init__(self, n: int, deadline: Optional[float] = None):
         self.n = n
@@ -504,6 +571,9 @@ class _DMSearch(_Backtracker):
         self.ssum = [0] * self.m
         self.edges: list[tuple[int, int]] = []
         self.bound = _bound_table([abs(x) for x in self.labs])
+        # recs[q][skip]: q's record as a candidate, as in _QuotientSearch
+        self.recs = [[(q, x, (1,), skip) for skip in (False, True)]
+                     for q, x in enumerate(self.labs)]
 
     def _snapshot(self) -> LabelGraph:
         return LabelGraph(self.n, self.edges)
@@ -523,12 +593,10 @@ class _DMSearch(_Backtracker):
             self.edges.pop()
 
     def _choices(self, p: int) -> list[tuple[int, tuple]]:
-        labs, deg, ssum = self.labs, self.deg, self.ssum
-        a = labs[p]
+        deg, ssum = self.deg, self.ssum
+        a = self.labs[p]
         bounds = self.bound[p]
-        cand: list[int] = []
-        vals: list[int] = []
-        skips: list[bool] = []
+        recs = []
         for q in range(p + 1, self.m):
             cap = 4 - deg[q]
             if cap == 0:
@@ -536,13 +604,10 @@ class _DMSearch(_Backtracker):
             b, bound = ssum[q], bounds[q]
             skip = abs(b) <= bound[cap]
             if abs(b + a) <= bound[cap - 1]:
-                cand.append(q)
-                vals.append(labs[q])
-                skips.append(skip)
+                recs.append(self.recs[q][skip])
             elif not skip:
                 return []
-        signs = [(1,)] * len(cand)
-        return _subset_choices(cand, vals, signs, skips, [(0, 4 - deg[p], -ssum[p])])
+        return _subset_choices(recs, [(0, 4 - deg[p], -ssum[p])])
 
 
 def enumerate_dm(
@@ -879,9 +944,7 @@ def find_labelings(
     """
     if not g.is_regular(4):
         raise SearchError("labeling search supports tetravalent graphs only")
-    if max_results is not None and (
-        isinstance(max_results, bool) or not isinstance(max_results, int) or max_results < 1
-    ):
+    if max_results is not None and not (_is_number(max_results) and max_results >= 1):
         raise SearchError("max_results must be an int of at least 1")
     if opts.require_connected and not g.is_connected():
         return []

@@ -268,7 +268,37 @@ class TestSubsetChoices:
     @settings(max_examples=400, deadline=None)
     @given(chooser_inputs())
     def test_matches_brute_force(self, inputs):
-        assert _subset_choices(*inputs) == brute_force_choices(*inputs)
+        cand, vals, signs, skips, wants = inputs
+        recs = list(zip(cand, vals, signs, skips))
+        assert _subset_choices(recs, wants) == brute_force_choices(*inputs)
+
+
+class TestLookAheadRows:
+    """_QuotientSearch tabulates its look-ahead verdicts at the ends of the
+    test intervals only; each entry must equal the predicate at its own
+    balance."""
+
+    @pytest.mark.parametrize("n", range(5, 25))
+    def test_rows_match_predicate(self, n):
+        qs = _QuotientSearch(n)
+        labs, m, W, B = qs.labs, qs.m, qs.W, qs.B
+        bounds = search._bound_table(labs)
+        for p, a in enumerate(labs):
+            rows = qs.rows[p]
+            assert len(rows) == m - p - 1 + qs.central
+            for q, row in enumerate(rows[:m - p - 1], p + 1):
+                lab = labs[q]
+                assert row[:W] == [None] * W  # full
+                for cap in range(1, 5):
+                    tests = search._look_ahead(a, lab, bounds[p][q], cap)
+                    want = [search._verdict(q, lab, tests, b) for b in range(-B, B + 1)]
+                    assert row[cap * W:(cap + 1) * W] == want, (p, q, cap)
+            if qs.central:
+                # the central vertex: nothing to do with two edges, else one
+                # verdict for every balance
+                row = rows[-1]
+                assert row[:3 * W] == [None] * (3 * W)
+                assert all(row[cap * W:(cap + 1) * W] == [row[cap * W]] * W for cap in (3, 4))
 
 
 class TestSearchWork:
@@ -740,6 +770,13 @@ class TestTimeLimit:
             SearchOptions(thread_budget=0)
         with pytest.raises(SearchError):
             SearchOptions(valence=3)
+        for bad in ({"time_limit": True}, {"time_limit": "5"}, {"time_limit": 0},
+                    {"thread_budget": True}, {"thread_budget": 1.5}, {"thread_budget": "2"},
+                    {"thread_budget": None}):
+            with pytest.raises(SearchError):
+                SearchOptions(**bad)
+        assert SearchOptions(time_limit=2, thread_budget=3).time_limit == 2
+        assert SearchOptions(time_limit=0.5).time_limit == 0.5
 
 
 class TestTable1:
