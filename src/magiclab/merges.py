@@ -12,7 +12,8 @@ All three witness functions share one extension chain: a base instance of
 order b = n (mod 8) grows to order n by merging in the 8-vertex
 complete-bipartite block (n - b) / 8 times, each time along a quotient edge
 whose labels differ by 4.  Bases are the enumerator's first non-wreath
-instances with such an edge, found once per process and memoized.  A chain
+instances with such an edge, found once per process and memoized, and so
+is each order's chain, which the three functions share.  A chain
 that ends on a wreath graph moves on to the next enumerated base, once
 through the stream.
 Wreath graphs are recognised by open twins, which needs no canonical form
@@ -325,10 +326,13 @@ def _verified(g: Graph, l: Labeling, nondegenerate: bool = False):
     return g, l
 
 
+@lru_cache(maxsize=64)
 def _chain_witness(n: int) -> tuple[Graph, Labeling]:
     """Extend the base of the largest order b <= n with b = n (mod 8) by
     (n - b) / 8 blocks.  The base is tried first, then the later
-    candidates of order b, until a chain ends on a non-wreath graph."""
+    candidates of order b, until a chain ends on a non-wreath graph.  The
+    three witness functions share one result per order; the 64 kept cover
+    the 41 orders of 5..60."""
     b = max(o for o in BASE_ORDERS if o <= n and (n - o) % 8 == 0)
     for g, l in chain([_find_base(b)], islice(_candidates(b), 1, None)):
         g, l = _extend_chain(g, l, (n - b) // 8)
@@ -337,10 +341,16 @@ def _chain_witness(n: int) -> tuple[Graph, Labeling]:
     raise MergeError(f"every extension chain from order {b} ends on a wreath graph")
 
 
+def _check_order(n) -> None:
+    if not _search._is_number(n):
+        raise MergeError(f"order must be an int, got {type(n).__name__}")
+
+
 def witness(n: int) -> Optional[tuple[Graph, Labeling]]:
     """A connected tetravalent order-n graph with a self-reverse distance
     magic labeling, or None when no such graph exists (even n >= 6, odd
     n >= 21).  Returned pairs are verified."""
+    _check_order(n)
     if n < 5:
         raise MergeError("witnesses are defined for orders at least 5")
     if n % 2 == 0:
@@ -351,6 +361,7 @@ def witness(n: int) -> Optional[tuple[Graph, Labeling]]:
 def witness_nondegenerate(n: int) -> Optional[tuple[Graph, Labeling]]:
     """As witness, but the labeling is additionally non-degenerate; present
     exactly for n in {8, 16, 18, 20, 21} and every n >= 23."""
+    _check_order(n)
     if n in (8, 16):
         return _verified(wreath(n // 2), wreath_nondegenerate_labeling(n // 2), nondegenerate=True)
     return witness_non_wreath(n)
@@ -359,6 +370,7 @@ def witness_nondegenerate(n: int) -> Optional[tuple[Graph, Labeling]]:
 def witness_non_wreath(n: int) -> Optional[tuple[Graph, Labeling]]:
     """As witness, but the graph is not a wreath graph and the labeling is
     non-degenerate; present exactly for n >= 18 with n not in {19, 22}."""
+    _check_order(n)
     if n < 5:
         raise MergeError("witnesses are defined for orders at least 5")
     return _chain_witness(n) if n >= 18 and n not in (19, 22) else None

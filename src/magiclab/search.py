@@ -16,7 +16,11 @@ choice is applied only to be undone.  The quotient search keeps each
 position's open slots and partial balance in one int and tabulates the
 look-ahead per pair of positions when it starts, so its chooser reads one
 list entry per later position; the other searches test their candidates
-in place.  The searches run in the calling thread; emission order is
+in place.  The quotient and all-labelings choosers share pick buckets: per
+position, the signed subsets of the later positions listed once by size
+and sum, the first time a node asks for them, so a node's choices are a
+bucket filtered by the masks of the signs its look-ahead allows and the
+picks it forces.  The searches run in the calling thread; emission order is
 deterministic.  Both enumerators pass their pairs, lifted
 from quotients by quotients.lift or unfolded from label graphs, through one
 verify, sort and classify step under the search's deadline.
@@ -62,10 +66,10 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Search flags.  time_limit is None or a positive int or float (in
-    seconds); thread_budget, an int of at least 1, is accepted for
-    compatibility: every search runs in the calling thread.  Other values
-    raise SearchError."""
+    """Search flags.  The three require_ flags are bools; time_limit is None
+    or a positive int or float (in seconds); thread_budget, an int of at
+    least 1, is accepted for compatibility: every search runs in the calling
+    thread.  Other values raise SearchError."""
 
     require_self_reverse: bool = True
     require_nondegenerate: bool = False
@@ -77,6 +81,10 @@ class SearchOptions:
     def __post_init__(self):
         if self.valence != 4:
             raise SearchError("only valence 4 is supported")
+        for flag in ("require_self_reverse", "require_nondegenerate", "require_connected"):
+            value = getattr(self, flag)
+            if not isinstance(value, bool):
+                raise SearchError(f"{flag} must be a bool, got {type(value).__name__}")
         if self.time_limit is not None and not (
             _is_number(self.time_limit, float) and self.time_limit > 0  # nan too
         ):
@@ -88,6 +96,11 @@ class SearchOptions:
 def _is_number(x, *types) -> bool:
     """Whether x is an int, or one of the extra types, and not a bool."""
     return isinstance(x, (int, *types)) and not isinstance(x, bool)
+
+
+def _check_order(n) -> None:
+    if not _is_number(n):
+        raise SearchError(f"order must be an int, got {type(n).__name__}")
 
 
 @dataclass
@@ -150,62 +163,80 @@ def _bound_table(mags: list[int]) -> list[list[list[int]]]:
     ]
 
 
-def _walk(out, tag, picks, recs, forced, pre, start, need, target):
-    """Append (tag, picks + more) for every way to pick need more candidates
-    from recs[start:] that hits target, taking each with its signs before
-    leaving it out.  The caller has checked that need >= 1, forced[start] <=
-    need and |target| <= pre[start + need] - pre[start]."""
+def _walk(out, picks, recs, pre, start, need, target):
+    """Append picks + more for every way to pick need more candidates from
+    recs[start:] that hits target, taking each with its signs before leaving
+    it out.  The caller has checked that need >= 1 and |target| <=
+    pre[start + need] - pre[start]."""
     for ci in range(start, len(recs) - need + 1):
         if abs(target) > pre[ci + need] - pre[ci]:
             return
-        q, b, signs, skip = recs[ci]
-        if forced[ci + 1] < need:
-            room = pre[ci + need] - pre[ci + 1]  # 0 for the last pick
-            for sig in signs:
-                rest = target - sig * b
-                if -room <= rest <= room:
-                    if need == 1:
-                        out.append((tag, (*picks, (q, sig))))
-                    else:
-                        _walk(out, tag, (*picks, (q, sig)), recs, forced, pre, ci + 1,
-                              need - 1, rest)
-        if not skip:
-            return
+        q, x, signs = recs[ci]
+        room = pre[ci + need] - pre[ci + 1]  # 0 for the last pick
+        for sig in signs:
+            rest = target - sig * x
+            if -room <= rest <= room:
+                if need == 1:
+                    out.append((*picks, (q, sig)))
+                else:
+                    _walk(out, (*picks, (q, sig)), recs, pre, ci + 1, need - 1, rest)
 
 
-def _subset_choices(recs, wants) -> list[tuple[int, tuple]]:
-    """Every way to pick candidates so that their signed values hit a target.
+class _PickBuckets(dict):
+    """The pick buckets of one position, built on first use.
 
-    recs holds one record (candidate, value, signs, skip) per candidate.
-    For each (tag, need, target) in wants, pick exactly need candidates,
-    each with one of its allowed signs, so that the sum of sign * value is
-    target; candidates whose skip flag is False must be picked.  Results are
-    (tag, ((candidate, sign), ...)) in depth-first order: candidates in list
-    order, each taken with its signs in order before it is left out.  Values
-    must be non-increasing in magnitude, so the next need magnitudes bound
-    what need picks can reach: _walk descends only where they can, and ends
-    the last pick at the first magnitude below the target's.  Wants needing
-    no walk are settled before the prefix sums are built."""
-    n_forced = 0
-    for r in recs:
-        if not r[3]:
-            n_forced += 1
-    out: list[tuple[int, tuple]] = []
-    pre = forced = None
-    for tag, need, target in wants:
-        if need < n_forced or need > len(recs):
-            continue
+    recs holds one record (candidate, value, signs) per later position, the
+    j-th of them owning bit j (sign +1) and bit j + L (sign -1) of a sign
+    mask and bit j of a position mask.  The bucket at (need, target) lists
+    every way to pick need candidates, each with one of its signs, whose
+    signed values sum to target, as entries (sign bits, position bits,
+    (0, picks), (1, picks)), picks being ((candidate, sign), ...).  Entries
+    are in depth-first order: candidates in list order, each taken with its
+    signs in order before it is left out.  Values must be non-increasing in
+    magnitude, so the next need magnitudes bound what need picks can reach
+    and _walk descends only where they can."""
+
+    __slots__ = ("recs", "pre", "L")
+
+    def __init__(self, recs: list[tuple[int, int, tuple]], L: int):
+        super().__init__()
+        self.recs, self.L = recs, L
+        self.pre = [0]  # sum of |values[:ci]|
+        for _, x, _ in recs:
+            self.pre.append(self.pre[-1] + abs(x))
+
+    def __missing__(self, key: tuple[int, int]) -> list:
+        need, target = key
+        found: list[tuple] = []
         if need == 0:
             if target == 0:
-                out.append((tag, ()))
-            continue
-        if pre is None:
-            pre, forced = [0], [n_forced]  # sum of |values[:ci]|, must-picks in recs[ci:]
-            for _, x, _, skip in recs:
-                pre.append(pre[-1] + abs(x))
-                forced.append(forced[-1] - (not skip))
-        if abs(target) <= pre[need]:
-            _walk(out, tag, (), recs, forced, pre, 0, need, target)
+                found.append(())
+        elif need <= len(self.recs) and abs(target) <= self.pre[need]:
+            _walk(found, (), self.recs, self.pre, 0, need, target)
+        bit = {q: j for j, (q, _, _) in enumerate(self.recs)}
+        bucket = self[key] = [
+            (
+                sum(1 << (bit[q] if sig > 0 else bit[q] + self.L) for q, sig in picks),
+                sum(1 << bit[q] for q, _ in picks),
+                (0, picks),
+                (1, picks),
+            )
+            for picks in found
+        ]
+        return bucket
+
+
+def _pick(buckets: _PickBuckets, allowed: int, forced: int, wants) -> list[tuple[int, tuple]]:
+    """For each (tag, need, target) in wants, tag 0 or 1, the (tag, picks)
+    of the bucket's entries whose signs are all in the sign mask allowed and
+    whose positions include every one in the position mask forced, in
+    bucket order."""
+    banned = ~allowed
+    out = []
+    for tag, need, target in wants:
+        if need >= 0:
+            k = tag + 2
+            out += [e[k] for e in buckets[need, target] if not (e[0] & banned or forced & ~e[1])]
     return out
 
 
@@ -280,36 +311,35 @@ def _look_ahead(a: int, lab: int, bound: list[int], cap: int) -> tuple:
     )
 
 
-_DEAD = False  # the verdict on a later vertex that can no longer balance
+_DEAD = -1  # the verdict on a later vertex that can no longer balance
 
 
-def _verdict(q: int, lab: int, tests: tuple, b: int):
-    """The chooser's verdict on later position q at partial balance b under
-    the _look_ahead tests: its record (q, lab, signs, skip) when it can be
-    picked, None when it can only be left out, _DEAD when neither."""
+def _verdict(j: int, L: int, tests: tuple, b: int) -> int:
+    """The chooser's verdict on the j-th later position at partial balance
+    b under the _look_ahead tests, as one int: bit j when it can be picked
+    with sign +1, bit j + L with sign -1, bit j + 2L when it must be
+    picked; 0 when it can only be left out, _DEAD when neither."""
     skip, plus, minus = [lo <= b <= hi or lo2 <= b <= hi2 for (lo, hi), (lo2, hi2) in tests]
     if plus or minus:
-        return q, lab, (1, -1) if plus and minus else (1,) if plus else (-1,), skip
-    return None if skip else _DEAD
+        return plus << j | minus << j + L | (not skip) << j + 2 * L
+    return 0 if skip else _DEAD
 
 
-def _look_ahead_row(q: int, a: int, lab: int, bound: list[int], B: int) -> list:
-    """The verdicts on later position q, labeled lab, once the vertex
+def _look_ahead_row(j: int, L: int, a: int, lab: int, bound: list[int], B: int) -> list[int]:
+    """The verdicts on the j-th later position, labeled lab, once the vertex
     labeled a is complete, at index cap * W + b + B for cap open slots and
     partial balance b, |b| <= B, with W = 2B + 1.  The verdict is constant
     between consecutive interval ends of the tests, so _verdict is evaluated
-    at those only; equal records are shared."""
+    at those only."""
     W = 2 * B + 1
-    row = [None] * (5 * W)  # cap 0: full
-    recs: dict = {}
+    row = [0] * (5 * W)  # cap 0: full
     for cap in range(1, 5):
         tests = _look_ahead(a, lab, bound, cap)
         ends = {e for t in tests for lo, hi in t for e in (lo, hi + 1)}
         cuts = sorted({-B, B + 1, *(e for e in ends if -B < e <= B)})
         at = cap * W + B
         for lo, hi in zip(cuts, cuts[1:]):
-            v = _verdict(q, lab, tests, lo)
-            row[at + lo:at + hi] = [recs.setdefault(v, v)] * (hi - lo)
+            row[at + lo:at + hi] = [_verdict(j, L, tests, lo)] * (hi - lo)
     return row
 
 
@@ -334,43 +364,57 @@ class _QuotientSearch(_Backtracker):
     its open slots, b its partial balance, B = 4n > |b| and W = 2B + 1; an
     edge with sign sig from the vertex labeled a adds sig * a - W.  The
     verdict on q as a candidate while completing p depends on p, q and st[q]
-    only, so __init__ tabulates it (_look_ahead_row): rows[p][q - p - 1]
-    [st[q]] is q's record (q, label, signs, skip), None (full, or not
-    pickable but may be left out) or _DEAD.  The central vertex (odd
-    orders) is the last later position, with the record (m, 0, (1,), skip)
-    while it lacks edges: it needs two, at most one from each position, and
-    only the cap part of its state is read.  So a node's scan is one list
-    lookup per later position, and the wants of p itself come from
-    divmod(st[p], W).  The rows hold about 5 * W * m^2 / 2 shared entries:
-    0.3 MB at n = 20, 1 MB at n = 30.
+    only, so __init__ tabulates it (_look_ahead_row): rows[p][j][st[q]],
+    j = q - p - 1, is an int with bit j set when q can be picked with sign
+    +1, bit j + L with sign -1 and bit j + 2L when it must be picked (L =
+    m + central), 0 when it is full or can only be left out, and _DEAD.
+    The central vertex (odd orders) is the last later position, pickable
+    with sign +1 while it lacks edges: it needs two, at most one from each
+    position, and only the cap part of its state is read.  The rows hold
+    about 5 * W * m^2 / 2 entries: 0.3 MB at n = 20, 1 MB at n = 30.
+
+    A node's scan ORs one row entry per later position into a mask, and
+    the choices for p are the entries of two of p's pick buckets, chosen by
+    divmod(st[p], W), whose signs the mask allows and whose positions cover
+    the forced ones.  The buckets of p (_PickBuckets) list the signed
+    subsets of the later positions by size and sum; each is built by the
+    subset walk the first time a node asks for it and kept for the run:
+    287 buckets (0.7 MB) at n = 24, about 460 (1.2 MB) at n = 30.
     """
 
-    __slots__ = ("n", "labs", "central", "st", "W", "B", "chosen", "rows")
+    __slots__ = ("n", "labs", "central", "st", "W", "B", "L2", "chosen", "rows", "buckets")
 
     def __init__(self, n: int, deadline: Optional[float] = None):
         self.n = n
-        self.labs = _quotient_positions(n)
-        m = len(self.labs)
+        self.labs = labs = _quotient_positions(n)
+        m = len(labs)
         super().__init__(m, deadline)
         self.central = n % 2 == 1
+        L = m + self.central
+        self.L2 = 2 * L
         self.B = B = 4 * n
         self.W = W = 2 * B + 1
-        self.st = [4 * W + B] * (m + self.central)
+        self.st = [4 * W + B] * L
         self.chosen: list[tuple[int, tuple]] = [(0, ())] * m  # the choice applied per position
-        bounds = _bound_table(self.labs)
+        bounds = _bound_table(labs)
         self.rows = []
-        for p, a in enumerate(self.labs):
+        self.buckets = []
+        for p, a in enumerate(labs):
             rows_p = [
-                _look_ahead_row(q, a, self.labs[q], bounds[p][q], B) for q in range(p + 1, m)
+                _look_ahead_row(q - p - 1, L, a, labs[q], bounds[p][q], B) for q in range(p + 1, m)
             ]
+            recs = [(q, labs[q], (1, -1)) for q in range(p + 1, m)]
             if self.central:
-                row = [None] * (5 * W)
+                j = m - p - 1
+                row = [0] * (5 * W)
                 for cap in (3, 4):  # one edge or none yet
-                    short = cap - 2 - (m - p - 1)  # edges missing beyond one per later position
-                    v = _DEAD if short > 1 else (m, 0, (1,), short <= 0)
+                    short = cap - 2 - j  # edges missing beyond one per later position
+                    v = _DEAD if short > 1 else 1 << j | (short > 0) << j + 2 * L
                     row[cap * W:(cap + 1) * W] = [v] * W
                 rows_p.append(row)
+                recs.append((m, 0, (1,)))
             self.rows.append(rows_p)
+            self.buckets.append(_PickBuckets(recs, L))
 
     def _snapshot(self) -> QuotientGraph:
         labs = [*self.labs, 0]  # position m is the central vertex
@@ -397,16 +441,16 @@ class _QuotientSearch(_Backtracker):
         """All (semiedge flag, edge picks) pairs completing position p that
         leave every later vertex able to balance, in search order."""
         st = self.st
-        recs = []
+        mask = 0
         for row, s in zip(self.rows[p], st[p + 1:]):
-            r = row[s]
-            if r:
-                recs.append(r)
-            elif r is _DEAD:
+            v = row[s]
+            if v < 0:
                 return []
+            mask |= v
         cap, b = divmod(st[p], self.W)
         b -= self.B
-        return _subset_choices(recs, [(0, cap, -b), (1, cap - 1, self.labs[p] - b)])
+        wants = ((0, cap, -b), (1, cap - 1, self.labs[p] - b))
+        return _pick(self.buckets[p], mask, mask >> self.L2, wants)
 
 
 def _labeling_ok(g: Graph, l: Labeling, opts: SearchOptions) -> bool:
@@ -464,6 +508,7 @@ def _sr_candidates(
     """Unverified self-reverse pairs of order n: the lift of each quotient
     found, then (when allowed) the closed-form degenerate classes.  Every
     option is checked before the first quotient is searched for."""
+    _check_order(n)
     if n < 5:
         raise SearchError("self-reverse enumeration needs order >= 5")
     if not opts.require_self_reverse:
@@ -558,10 +603,13 @@ class _DMSearch(_Backtracker):
     negative; each label picks its remaining neighbors among later labels,
     hitting a zero neighbor sum exactly.  The chooser keeps only picks after
     which every later label q with c open slots has |partial sum| at most
-    the c largest later magnitudes other than its own.
+    the c largest later magnitudes other than its own: its scan builds the
+    masks of later positions that may and that must be picked, and filters
+    one of p's pick buckets with them, as _QuotientSearch does.  Picks take
+    sign +1 only, so the buckets list plain subsets.
     """
 
-    __slots__ = ("n", "labs", "deg", "ssum", "edges", "bound", "recs")
+    __slots__ = ("n", "labs", "deg", "ssum", "edges", "bound", "buckets")
 
     def __init__(self, n: int, deadline: Optional[float] = None):
         self.n = n
@@ -571,9 +619,10 @@ class _DMSearch(_Backtracker):
         self.ssum = [0] * self.m
         self.edges: list[tuple[int, int]] = []
         self.bound = _bound_table([abs(x) for x in self.labs])
-        # recs[q][skip]: q's record as a candidate, as in _QuotientSearch
-        self.recs = [[(q, x, (1,), skip) for skip in (False, True)]
-                     for q, x in enumerate(self.labs)]
+        self.buckets = [
+            _PickBuckets([(q, self.labs[q], (1,)) for q in range(p + 1, self.m)], self.m)
+            for p in range(self.m)
+        ]
 
     def _snapshot(self) -> LabelGraph:
         return LabelGraph(self.n, self.edges)
@@ -596,18 +645,20 @@ class _DMSearch(_Backtracker):
         deg, ssum = self.deg, self.ssum
         a = self.labs[p]
         bounds = self.bound[p]
-        recs = []
+        allowed = forced = 0
+        bit = 1
         for q in range(p + 1, self.m):
             cap = 4 - deg[q]
-            if cap == 0:
-                continue
-            b, bound = ssum[q], bounds[q]
-            skip = abs(b) <= bound[cap]
-            if abs(b + a) <= bound[cap - 1]:
-                recs.append(self.recs[q][skip])
-            elif not skip:
-                return []
-        return _subset_choices(recs, [(0, 4 - deg[p], -ssum[p])])
+            if cap:
+                b, bound = ssum[q], bounds[q]
+                if abs(b + a) <= bound[cap - 1]:
+                    allowed |= bit
+                    if abs(b) > bound[cap]:
+                        forced |= bit
+                elif abs(b) > bound[cap]:
+                    return []
+            bit <<= 1
+        return _pick(self.buckets[p], allowed, forced, ((0, 4 - deg[p], -ssum[p]),))
 
 
 def enumerate_dm(
@@ -616,6 +667,7 @@ def enumerate_dm(
     """All distance magic labeling classes of connected tetravalent graphs
     of order n, with no symmetry requirement.  Capped at order DM_ORDER_CAP.
     """
+    _check_order(n)
     if n > DM_ORDER_CAP:
         raise SearchError(f"all-labelings enumeration is capped at order {DM_ORDER_CAP}")
     if n < 5:
@@ -1008,6 +1060,8 @@ def table1_report(
     row holds the partial counts of that order, zeros when no time was left
     to start it.
     """
+    _check_order(n_min)
+    _check_order(n_max)
     if not (5 <= n_min <= n_max):
         raise SearchError("range must satisfy 5 <= n_min <= n_max")
     opts = replace(opts, require_nondegenerate=True, require_self_reverse=True)

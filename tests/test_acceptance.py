@@ -5,10 +5,8 @@ Criteria are exact; the stated runtime budgets are asserted with the
 generous limits they were specified with.
 """
 
-import os
+import hashlib
 import time
-
-import pytest
 
 from magiclab.families import (
     cartesian_cycles,
@@ -25,6 +23,8 @@ from magiclab.labelings import (
     is_degenerate,
     is_distance_magic,
     is_self_reverse,
+    label_graph,
+    label_graph_to_json,
 )
 from magiclab.merges import (
     make_cyclet,
@@ -94,15 +94,21 @@ def test_criterion_2_table1_order_23():
     )
 
 
-@pytest.mark.skipif(
-    not os.environ.get("MAGICLAB_ACCEPT_LONG"),
-    reason="order-24 verification is optional (measured 35-50 s; "
-    "set MAGICLAB_ACCEPT_LONG=1 to run)",
-)
+# sha256 over label_graph_to_json of each sorted order-24 pair, one per line
+ORDER_24_DIGEST = "7221795b5925327a5bd7884d643923d7bf949905466c05ce5c529b9e7182f7e4"
+
+
 def test_criterion_2_stretch_order_24():
-    _, rep = enumerate_sr(24, SearchOptions(require_nondegenerate=True, thread_budget=8))
+    pairs, rep = enumerate_sr(24, SearchOptions(require_nondegenerate=True, thread_budget=8))
     got = (rep.sr_count, rep.iso_class_count, rep.vt_count)
-    _report("criterion 2 (stretch)", got == TABLE1_EXPECTED[24], f"order 24 = {got}")
+    h = hashlib.sha256()
+    for g, l in pairs:
+        h.update(label_graph_to_json(label_graph(g, l)).encode() + b"\n")
+    _report(
+        "criterion 2 (stretch)",
+        got == TABLE1_EXPECTED[24] and h.hexdigest() == ORDER_24_DIGEST,
+        f"order 24 = {got}, digest {h.hexdigest()[:12]}",
+    )
 
 
 def test_criterion_3_small_order_exclusivity():

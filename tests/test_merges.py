@@ -344,6 +344,24 @@ class TestWitnesses:
                 h.update(line.encode() + b"\n")
         assert h.hexdigest() == self.OUTPUTS_DIGEST
 
+    def test_one_chain_per_order(self, monkeypatch):
+        # 102 calls over 5..60 ask for a chain, at 41 distinct orders
+        merges._chain_witness.cache_clear()
+        built = []
+        extend = merges._extend_chain
+        monkeypatch.setattr(merges, "_extend_chain", lambda g, *a: built.append(g.n) or extend(g, *a))
+        for n in range(5, 61):
+            for fn in (witness, witness_nondegenerate, witness_non_wreath):
+                fn(n)
+        info = merges._chain_witness.cache_info()
+        assert (len(built), info.misses, info.hits) == (41, 41, 61)
+
+    @pytest.mark.parametrize("bad", [21.0, 24.0, True, "21"])
+    def test_non_integer_orders_rejected(self, bad):
+        for fn in (witness, witness_nondegenerate, witness_non_wreath):
+            with pytest.raises(MergeError, match=type(bad).__name__):
+                fn(bad)
+
     @pytest.mark.parametrize("n", [66, 130])
     def test_non_wreath_beyond_canonical_limit(self, n):
         g, l = witness_non_wreath(n)
@@ -379,6 +397,11 @@ class TestChainRetry:
     @pytest.fixture
     def warm_cache(self):
         merges._find_base(18)
+        # the chains below run under a patched _is_wreath: keep their
+        # results out of the shared chain memo
+        merges._chain_witness.cache_clear()
+        yield
+        merges._chain_witness.cache_clear()
 
     def test_rejected_chain_moves_to_next_candidate(self, warm_cache, monkeypatch):
         first, second = islice(merges._candidates(18), 2)
@@ -471,6 +494,7 @@ class TestBaseCache:
     def test_default_cache_ignores_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         merges._find_base.cache_clear()
+        merges._chain_witness.cache_clear()
         g, l = witness(21)
         assert g.n == 21 and is_self_reverse(g, l)
         assert os.listdir(tmp_path) == []

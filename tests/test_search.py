@@ -42,8 +42,9 @@ from magiclab.search import (
     _involutions_with_pairing,
     _InvolutionSearch,
     _PlacementSearch,
+    _PickBuckets,
     _QuotientSearch,
-    _subset_choices,
+    _pick,
     _verify_emission,
 )
 
@@ -60,11 +61,16 @@ def lg_edges(g, l):
 
 
 @functools.lru_cache(maxsize=None)
-def quotient_run(n):
-    """(nodes, emitted quotients) of one full quotient search at order n,
+def quotient_search(n):
+    """One full quotient search at order n and its emitted quotients,
     shared by the tests below so that tier-1 runs each order once."""
     qs = _QuotientSearch(n)
-    emitted = tuple(qs.run())
+    return qs, tuple(qs.run())
+
+
+def quotient_run(n):
+    """(nodes, emitted quotients) of quotient_search(n)."""
+    qs, emitted = quotient_search(n)
     return qs.nodes, emitted
 
 
@@ -265,46 +271,69 @@ def brute_force_choices(cand, vals, signs, skips, wants):
 
 
 class TestSubsetChoices:
+    """The pick buckets hold every signed subset; filtering one by the sign
+    and must-pick masks gives exactly the walk over the allowed decisions."""
+
     @settings(max_examples=400, deadline=None)
     @given(chooser_inputs())
     def test_matches_brute_force(self, inputs):
         cand, vals, signs, skips, wants = inputs
-        recs = list(zip(cand, vals, signs, skips))
-        assert _subset_choices(recs, wants) == brute_force_choices(*inputs)
+        k = len(cand)
+        buckets = _PickBuckets([(q, x, (1, -1)) for q, x in zip(cand, vals)], k)
+        allowed = forced = 0
+        for ci, (sig, skip) in enumerate(zip(signs, skips)):
+            allowed |= (1 in sig) << ci | (-1 in sig) << ci + k
+            forced |= (not skip) << ci
+        got = []
+        for tag, need, target in wants:  # the searches' tags are 0 and 1 only
+            for t, picks in _pick(buckets, allowed, forced, [(tag % 2, need, target)]):
+                assert t == tag % 2
+                got.append((tag, picks))
+        assert got == brute_force_choices(*inputs)
 
 
 class TestLookAheadRows:
     """_QuotientSearch tabulates its look-ahead verdicts at the ends of the
     test intervals only; each entry must equal the predicate at its own
-    balance."""
+    balance, encoded as the int the chooser ORs: bit j for sign +1, bit
+    j + L for sign -1, bit j + 2L for a forced pick."""
 
     @pytest.mark.parametrize("n", range(5, 25))
     def test_rows_match_predicate(self, n):
         qs = _QuotientSearch(n)
         labs, m, W, B = qs.labs, qs.m, qs.W, qs.B
+        L = m + qs.central
         bounds = search._bound_table(labs)
         for p, a in enumerate(labs):
             rows = qs.rows[p]
-            assert len(rows) == m - p - 1 + qs.central
-            for q, row in enumerate(rows[:m - p - 1], p + 1):
+            assert len(rows) == L - p - 1
+            for j, row in enumerate(rows[:m - p - 1]):
+                q = p + 1 + j
                 lab = labs[q]
-                assert row[:W] == [None] * W  # full
+                assert row[:W] == [0] * W  # full
                 for cap in range(1, 5):
                     tests = search._look_ahead(a, lab, bounds[p][q], cap)
-                    want = [search._verdict(q, lab, tests, b) for b in range(-B, B + 1)]
+                    want = [search._verdict(j, L, tests, b) for b in range(-B, B + 1)]
                     assert row[cap * W:(cap + 1) * W] == want, (p, q, cap)
+                    own = 1 << j | 1 << j + L | 1 << j + 2 * L
+                    assert all(v == -1 or v & ~own == 0 for v in want)
             if qs.central:
                 # the central vertex: nothing to do with two edges, else one
-                # verdict for every balance
+                # verdict for every balance, sign +1 only
+                j = m - p - 1
                 row = rows[-1]
-                assert row[:3 * W] == [None] * (3 * W)
-                assert all(row[cap * W:(cap + 1) * W] == [row[cap * W]] * W for cap in (3, 4))
+                assert row[:3 * W] == [0] * (3 * W)
+                for cap in (3, 4):
+                    v = row[cap * W]
+                    assert row[cap * W:(cap + 1) * W] == [v] * W
+                    assert v == -1 or v & ~(1 << j | 1 << j + 2 * L) == 0 and v & 1 << j
 
 
 class TestSearchWork:
     """Node counts and raw emission streams of the two searches sharing
-    _subset_choices, pinned before its rewrite: a cheaper chooser must keep
-    the search tree and every raw emission in order."""
+    the subset walk, pinned before it became the pick buckets' builder: a
+    cheaper chooser must keep the search tree and every raw emission in
+    order."""
 
     QUOTIENT_NODES = {16: 1096, 17: 3672, 18: 6176, 19: 22225, 20: 35488}
 
@@ -323,6 +352,16 @@ class TestSearchWork:
         assert (nodes, len(emitted), h.hexdigest()) == (
             157356, 57, "1a9e5cccb29a43500d145815ab016cba12fb4b6e6a54c2c85775370c8126b82f"
         )
+
+    # (buckets built, entries in them) by the searches above: each bucket
+    # is built once, on the first node that asks for it
+    PICK_BUCKETS = {20: (183, 545), 21: (205, 705)}
+
+    @pytest.mark.parametrize("n", sorted(PICK_BUCKETS))
+    def test_pick_buckets_built(self, n):
+        buckets = quotient_search(n)[0].buckets
+        built = sum(map(len, buckets)), sum(len(e) for b in buckets for e in b.values())
+        assert built == self.PICK_BUCKETS[n]
 
     # (report row, full canonical-form searches) of classifications run with
     # an empty certificate memo: one search per isomorphism class, the other
@@ -772,11 +811,25 @@ class TestTimeLimit:
             SearchOptions(valence=3)
         for bad in ({"time_limit": True}, {"time_limit": "5"}, {"time_limit": 0},
                     {"thread_budget": True}, {"thread_budget": 1.5}, {"thread_budget": "2"},
-                    {"thread_budget": None}):
+                    {"thread_budget": None}, {"require_nondegenerate": "false"},
+                    {"require_self_reverse": 1}, {"require_connected": None},
+                    {"require_nondegenerate": 0}):
             with pytest.raises(SearchError):
                 SearchOptions(**bad)
         assert SearchOptions(time_limit=2, thread_budget=3).time_limit == 2
         assert SearchOptions(time_limit=0.5).time_limit == 0.5
+
+
+class TestOrderType:
+    @pytest.mark.parametrize("bad", [16.0, 21.0, True, "16"])
+    def test_non_integer_orders_rejected(self, bad):
+        name = type(bad).__name__
+        with pytest.raises(SearchError, match=name):
+            enumerate_sr(bad, ND)
+        with pytest.raises(SearchError, match=name):
+            next(iter_sr_pairs(bad, ND))
+        with pytest.raises(SearchError, match=name):
+            enumerate_dm(bad, DM)
 
 
 class TestTable1:
@@ -802,6 +855,9 @@ class TestTable1:
     def test_bad_range(self):
         with pytest.raises(SearchError):
             table1_report(4, 10)
+        for bad in ((16.0, 17), (16, 17.0)):
+            with pytest.raises(SearchError, match="float"):
+                table1_report(*bad)
 
     def test_one_deadline_for_the_table(self, monkeypatch):
         # every order takes 0.2 s of a fake clock; each gets the time left
