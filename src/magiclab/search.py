@@ -12,18 +12,20 @@ all-labelings search of small orders, and on a fixed graph the search per
 partner involution and the direct label placement.  Each completes one
 position at a time on one explicit stack, and each position's chooser tests
 every candidate against the balance look-ahead before returning it, so no
-choice is applied only to be undone.  The quotient search keeps each
-position's open slots and partial balance in one int and tabulates the
-look-ahead per pair of positions when it starts, so its chooser reads one
-list entry per later position; the other searches test their candidates
-in place.  The quotient and all-labelings choosers share pick buckets: per
-position, the signed subsets of the later positions listed once by size
-and sum, the first time a node asks for them, so a node's choices are a
-bucket filtered by the masks of the signs its look-ahead allows and the
-picks it forces.  The searches run in the calling thread; emission order is
-deterministic.  Both enumerators pass their pairs, lifted
-from quotients by quotients.lift or unfolded from label graphs, through one
-verify, sort and classify step under the search's deadline.
+choice is applied only to be undone.  The two label-graph searches are one
+search: the all-labelings search is the quotient search over every label,
+with edges of sign +1 and no semiedge.  It keeps each position's open
+slots and partial balance in one int and tabulates the look-ahead per pair
+of positions when it starts, so its chooser reads one list entry per later
+position; its choices come from pick buckets: per position, the signed
+subsets of the later positions listed once by size and sum, the first time
+a node asks for them, so a node's choices are a bucket filtered by the
+masks of the signs its look-ahead allows and the picks it forces.  The
+fixed-graph searches test their candidates in place.  The searches run in
+the calling thread; emission order is deterministic.  Both enumerators
+pass their pairs, lifted from quotients by quotients.lift or unfolded from
+label graphs, through one verify, sort and classify step under the
+search's deadline.
 
 Degenerate self-reverse classes exist only on wreath graphs (a vertex
 adjacent to a full pair forces twin pairs everywhere), where every circular
@@ -294,27 +296,36 @@ def _quotient_positions(n: int) -> list[int]:
     return [lab for lab in range(n - 1, stop, -2)]
 
 
-def _look_ahead(a: int, lab: int, bound: list[int], cap: int) -> tuple:
+_EMPTY = (1, 0)  # an interval no balance lies in
+
+
+def _look_ahead(
+    a: int, lab: int, bound: list[int], cap: int, signs: tuple, semiedge: bool
+) -> list:
     """The balance tests on a later vertex once the vertex labeled a is
     complete, for the vertex labeled lab with cap >= 1 open slots: the
     tests for leaving it out, for picking it with sign +1 and with sign -1.
     bound[c] is the sum of the c largest labels its future neighbors can
-    have, and either the open slots balance the partial balance b or one of
-    them is the semiedge, worth lab.  So each test holds when b lies in one
-    of two closed intervals (lo, hi); lo > hi is empty."""
-    c = cap - 1
-    r = bound[c - 1] if c else -1  # the semiedge needs a slot left after the pick
-    return (
-        ((-bound[cap], bound[cap]), (lab - bound[c], lab + bound[c])),
-        ((-a - bound[c], -a + bound[c]), (lab - a - r, lab - a + r)),
-        ((a - bound[c], a + bound[c]), (lab + a - r, lab + a + r)),
-    )
+    have, and the c slots left open balance the partial balance b or, with
+    semiedges, one of them is the semiedge, worth lab.  So each test holds
+    when b lies in one of two closed intervals (lo, hi); lo > hi is empty,
+    as are both intervals of a sign not in signs."""
+    tests = []
+    for sig in (0, 1, -1):
+        if sig and sig not in signs:
+            tests.append((_EMPTY, _EMPTY))
+            continue
+        c = cap - abs(sig)  # the slots left after the choice
+        r = bound[c - 1] if semiedge and c else -1  # the semiedge needs one of them
+        x = -sig * a
+        tests.append(((x - bound[c], x + bound[c]), (lab + x - r, lab + x + r)))
+    return tests
 
 
 _DEAD = -1  # the verdict on a later vertex that can no longer balance
 
 
-def _verdict(j: int, L: int, tests: tuple, b: int) -> int:
+def _verdict(j: int, L: int, tests: list, b: int) -> int:
     """The chooser's verdict on the j-th later position at partial balance
     b under the _look_ahead tests, as one int: bit j when it can be picked
     with sign +1, bit j + L with sign -1, bit j + 2L when it must be
@@ -325,17 +336,19 @@ def _verdict(j: int, L: int, tests: tuple, b: int) -> int:
     return 0 if skip else _DEAD
 
 
-def _look_ahead_row(j: int, L: int, a: int, lab: int, bound: list[int], B: int) -> list[int]:
+def _look_ahead_row(
+    j: int, L: int, a: int, lab: int, bound: list[int], B: int, signs: tuple, semiedge: bool
+) -> list[int]:
     """The verdicts on the j-th later position, labeled lab, once the vertex
     labeled a is complete, at index cap * W + b + B for cap open slots and
     partial balance b, |b| <= B, with W = 2B + 1.  The verdict is constant
-    between consecutive interval ends of the tests, so _verdict is evaluated
-    at those only."""
+    between consecutive ends of the tests' non-empty intervals, so _verdict
+    is evaluated at those only."""
     W = 2 * B + 1
     row = [0] * (5 * W)  # cap 0: full
     for cap in range(1, 5):
-        tests = _look_ahead(a, lab, bound, cap)
-        ends = {e for t in tests for lo, hi in t for e in (lo, hi + 1)}
+        tests = _look_ahead(a, lab, bound, cap, signs, semiedge)
+        ends = {e for t in tests for lo, hi in t if lo <= hi for e in (lo, hi + 1)}
         cuts = sorted({-B, B + 1, *(e for e in ends if -B < e <= B)})
         at = cap * W + B
         for lo, hi in zip(cuts, cuts[1:]):
@@ -344,12 +357,16 @@ def _look_ahead_row(j: int, L: int, a: int, lab: int, bound: list[int], B: int) 
 
 
 class _QuotientSearch(_Backtracker):
-    """Backtracking state for one order.
+    """Backtracking over the quotients of one order, and the engine of the
+    all-labelings search (_DMSearch).
 
     Positions 0..m-1 hold the non-central labels in decreasing order; the
-    virtual position m is the central vertex of odd orders.  Vertices are
-    completed in position order, so every edge is decided at its
-    larger-labeled endpoint and the largest labels fail first.
+    virtual position m is the central vertex of odd orders.  Each position
+    picks its remaining edges among later positions, each with sign +1
+    (solid) or -1 (dashed), and may take a semiedge, worth its own label;
+    the signed sum must balance exactly.  Vertices are completed in position
+    order, so every edge is decided at its larger-labeled endpoint and the
+    largest labels fail first.
 
     Once position p is complete, a later vertex q with c open edge slots and
     partial balance b can still balance only if |b| is at most the sum of
@@ -376,35 +393,51 @@ class _QuotientSearch(_Backtracker):
     A node's scan ORs one row entry per later position into a mask, and
     the choices for p are the entries of two of p's pick buckets, chosen by
     divmod(st[p], W), whose signs the mask allows and whose positions cover
-    the forced ones.  The buckets of p (_PickBuckets) list the signed
-    subsets of the later positions by size and sum; each is built by the
-    subset walk the first time a node asks for it and kept for the run:
-    287 buckets (0.7 MB) at n = 24, about 460 (1.2 MB) at n = 30.
+    the forced ones: cap edges balancing b, or a semiedge and cap - 1 edges.
+    The buckets of p (_PickBuckets) list the signed subsets of the later
+    positions by size and sum; each is built by the subset walk the first
+    time a node asks for it and kept for the run: 287 buckets (0.7 MB) at
+    n = 24, about 460 (1.2 MB) at n = 30.
+
+    _setup takes the positions, the edge signs and whether there are
+    semiedges and a central vertex, so the same search runs _DMSearch.
+    Without semiedges the rows hold no semiedge intervals, and the
+    semiedge's want asks for more edges than a vertex has.
     """
 
-    __slots__ = ("n", "labs", "central", "st", "W", "B", "L2", "chosen", "rows", "buckets")
+    __slots__ = (
+        "n", "labs", "central", "st", "W", "B", "L2", "semi_slots", "chosen", "rows", "buckets",
+    )
 
     def __init__(self, n: int, deadline: Optional[float] = None):
+        self._setup(n, _quotient_positions(n), (1, -1), True, n % 2 == 1, deadline)
+
+    def _setup(
+        self, n: int, labs: list[int], signs: tuple, semiedge: bool, central: bool,
+        deadline: Optional[float],
+    ):
         self.n = n
-        self.labs = labs = _quotient_positions(n)
+        self.labs = labs
         m = len(labs)
         super().__init__(m, deadline)
-        self.central = n % 2 == 1
-        L = m + self.central
+        self.central = central
+        L = m + central
         self.L2 = 2 * L
         self.B = B = 4 * n
         self.W = W = 2 * B + 1
+        self.semi_slots = 1 if semiedge else 5  # 5 > any cap: no semiedge want is met
         self.st = [4 * W + B] * L
         self.chosen: list[tuple[int, tuple]] = [(0, ())] * m  # the choice applied per position
-        bounds = _bound_table(labs)
+        bounds = _bound_table([abs(x) for x in labs])
         self.rows = []
         self.buckets = []
         for p, a in enumerate(labs):
             rows_p = [
-                _look_ahead_row(q - p - 1, L, a, labs[q], bounds[p][q], B) for q in range(p + 1, m)
+                _look_ahead_row(q - p - 1, L, a, labs[q], bounds[p][q], B, signs, semiedge)
+                for q in range(p + 1, m)
             ]
-            recs = [(q, labs[q], (1, -1)) for q in range(p + 1, m)]
-            if self.central:
+            recs = [(q, labs[q], signs) for q in range(p + 1, m)]
+            if central:
                 j = m - p - 1
                 row = [0] * (5 * W)
                 for cap in (3, 4):  # one edge or none yet
@@ -449,7 +482,7 @@ class _QuotientSearch(_Backtracker):
             mask |= v
         cap, b = divmod(st[p], self.W)
         b -= self.B
-        wants = ((0, cap, -b), (1, cap - 1, self.labs[p] - b))
+        wants = ((0, cap, -b), (1, cap - self.semi_slots, self.labs[p] - b))
         return _pick(self.buckets[p], mask, mask >> self.L2, wants)
 
 
@@ -507,7 +540,7 @@ def _sr_candidates(
 ) -> Iterator[tuple[Graph, Labeling]]:
     """Unverified self-reverse pairs of order n: the lift of each quotient
     found, then (when allowed) the closed-form degenerate classes.  Every
-    option is checked before the first quotient is searched for."""
+    option is checked when this is called, not when the stream is read."""
     _check_order(n)
     if n < 5:
         raise SearchError("self-reverse enumeration needs order >= 5")
@@ -519,10 +552,10 @@ def _sr_candidates(
             f"{DEGENERATE_CLOSED_FORM_CAP} (got {n}); set require_nondegenerate "
             f"for larger orders"
         )
-    yield from map(lift, _QuotientSearch(n, deadline).run())
-    if not opts.require_nondegenerate:
-        for lg in _degenerate_wreath_label_graphs(n):
-            yield lg.to_graph()
+    stream = map(lift, _QuotientSearch(n, deadline).run())
+    if opts.require_nondegenerate:
+        return stream
+    return chain(stream, (lg.to_graph() for lg in _degenerate_wreath_label_graphs(n)))
 
 
 def iter_sr_pairs(
@@ -533,11 +566,11 @@ def iter_sr_pairs(
     Each pair is the lift of a quotient found by the search, in the
     deterministic search order, not sorted; use enumerate_sr for the sorted,
     counted form.  Degenerate classes (when allowed) follow the lifted
-    quotients.
+    quotients.  The arguments are checked, and the time limit starts, when
+    it is called.
     """
-    for g, l in _sr_candidates(n, opts, _deadline(opts)):
-        if _verify_emission(g, l, opts):
-            yield g, l
+    candidates = _sr_candidates(n, opts, _deadline(opts))
+    return ((g, l) for g, l in candidates if _verify_emission(g, l, opts))
 
 
 def _collect(
@@ -596,69 +629,22 @@ def enumerate_sr(
 # -- all distance magic label graphs of small orders --------------------------
 
 
-class _DMSearch(_Backtracker):
-    """Backtracking over zero-sum 4-regular graphs on the label set itself.
+class _DMSearch(_QuotientSearch):
+    """Backtracking over zero-sum 4-regular graphs on the label set itself:
+    _QuotientSearch over every label of the order, in decreasing magnitude,
+    positive before negative, with edges of sign +1 only and neither
+    semiedges nor a central vertex."""
 
-    Labels are completed in decreasing magnitude order, positive before
-    negative; each label picks its remaining neighbors among later labels,
-    hitting a zero neighbor sum exactly.  The chooser keeps only picks after
-    which every later label q with c open slots has |partial sum| at most
-    the c largest later magnitudes other than its own: its scan builds the
-    masks of later positions that may and that must be picked, and filters
-    one of p's pick buckets with them, as _QuotientSearch does.  Picks take
-    sign +1 only, so the buckets list plain subsets.
-    """
-
-    __slots__ = ("n", "labs", "deg", "ssum", "edges", "bound", "buckets")
+    __slots__ = ()
 
     def __init__(self, n: int, deadline: Optional[float] = None):
-        self.n = n
-        self.labs = sorted(label_set(n), key=lambda x: (-abs(x), x < 0))
-        super().__init__(len(self.labs), deadline)
-        self.deg = [0] * self.m
-        self.ssum = [0] * self.m
-        self.edges: list[tuple[int, int]] = []
-        self.bound = _bound_table([abs(x) for x in self.labs])
-        self.buckets = [
-            _PickBuckets([(q, self.labs[q], (1,)) for q in range(p + 1, self.m)], self.m)
-            for p in range(self.m)
-        ]
+        labs = sorted(label_set(n), key=lambda x: (-abs(x), x < 0))
+        self._setup(n, labs, (1,), False, False, deadline)
 
     def _snapshot(self) -> LabelGraph:
-        return LabelGraph(self.n, self.edges)
-
-    def _apply(self, p: int, choice):
-        a = self.labs[p]
-        for q, _ in choice[1]:
-            self.deg[q] += 1
-            self.ssum[q] += a
-            self.edges.append((a, self.labs[q]))
-
-    def _undo(self, p: int, choice):
-        a = self.labs[p]
-        for q, _ in choice[1]:
-            self.deg[q] -= 1
-            self.ssum[q] -= a
-            self.edges.pop()
-
-    def _choices(self, p: int) -> list[tuple[int, tuple]]:
-        deg, ssum = self.deg, self.ssum
-        a = self.labs[p]
-        bounds = self.bound[p]
-        allowed = forced = 0
-        bit = 1
-        for q in range(p + 1, self.m):
-            cap = 4 - deg[q]
-            if cap:
-                b, bound = ssum[q], bounds[q]
-                if abs(b + a) <= bound[cap - 1]:
-                    allowed |= bit
-                    if abs(b) > bound[cap]:
-                        forced |= bit
-                elif abs(b) > bound[cap]:
-                    return []
-            bit <<= 1
-        return _pick(self.buckets[p], allowed, forced, ((0, 4 - deg[p], -ssum[p]),))
+        labs = self.labs
+        edges = [(labs[p], labs[q]) for p, (_, picks) in enumerate(self.chosen) for q, _ in picks]
+        return LabelGraph(self.n, edges)
 
 
 def enumerate_dm(

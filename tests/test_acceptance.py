@@ -8,6 +8,7 @@ generous limits they were specified with.
 import hashlib
 import time
 
+from magiclab.cli import TABLE1_EXPECTED
 from magiclab.families import (
     cartesian_cycles,
     circulant,
@@ -50,19 +51,6 @@ from oracle import (
     lg_self_reverse,
     naive_dm_label_graphs,
 )
-
-TABLE1_EXPECTED = {
-    16: (48, 1, 1),
-    17: (0, 0, 0),
-    18: (136, 2, 1),
-    19: (0, 0, 0),
-    20: (66, 2, 1),
-    21: (57, 7, 0),
-    22: (0, 0, 0),
-    23: (675, 80, 0),
-    24: (11156, 9, 3),
-}
-
 
 def _report(criterion: str, ok: bool, detail: str):
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'}: {detail}")

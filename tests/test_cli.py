@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from magiclab import search
 from magiclab.cli import main
 from magiclab.families import wreath, wreath_natural_labeling, wreath_non_sr_labeling
 from magiclab.graphs import graph_from_json, graph_to_json, are_isomorphic
@@ -260,9 +261,17 @@ class TestTable1Cli:
         assert "n=16: PASS" in out and "n=17: PASS" in out
 
     def test_long_guard(self, capsys):
-        code, _, err = run(capsys, "table1", "24..24")
+        code, _, err = run(capsys, "table1", "25..25")
         assert code == 1
         assert "--allow-long" in err
+
+    def test_order_24_graded(self, capsys, monkeypatch):
+        # the published row stands in for the 25 s search
+        table = search.Table1Report(rows=[(24, 11156, 9, 3)], complete=True, elapsed=0.0)
+        monkeypatch.setattr(search, "table1_report", lambda *args: table)
+        code, out, _ = run(capsys, "table1", "24..24")
+        assert code == 0
+        assert "n=24: PASS" in out
 
     def test_range_validation(self, capsys):
         assert run(capsys, "table1", "2..6")[0] == 1

@@ -293,17 +293,16 @@ class TestSubsetChoices:
 
 
 class TestLookAheadRows:
-    """_QuotientSearch tabulates its look-ahead verdicts at the ends of the
-    test intervals only; each entry must equal the predicate at its own
-    balance, encoded as the int the chooser ORs: bit j for sign +1, bit
-    j + L for sign -1, bit j + 2L for a forced pick."""
+    """Both label-graph searches tabulate their look-ahead verdicts at the
+    ends of the test intervals only; each entry must equal the predicate at
+    its own balance, encoded as the int the chooser ORs: bit j for sign +1,
+    bit j + L for sign -1, bit j + 2L for a forced pick."""
 
-    @pytest.mark.parametrize("n", range(5, 25))
-    def test_rows_match_predicate(self, n):
-        qs = _QuotientSearch(n)
+    @staticmethod
+    def check_rows(qs, signs, semiedge):
         labs, m, W, B = qs.labs, qs.m, qs.W, qs.B
         L = m + qs.central
-        bounds = search._bound_table(labs)
+        bounds = search._bound_table([abs(x) for x in labs])
         for p, a in enumerate(labs):
             rows = qs.rows[p]
             assert len(rows) == L - p - 1
@@ -312,21 +311,47 @@ class TestLookAheadRows:
                 lab = labs[q]
                 assert row[:W] == [0] * W  # full
                 for cap in range(1, 5):
-                    tests = search._look_ahead(a, lab, bounds[p][q], cap)
+                    tests = search._look_ahead(a, lab, bounds[p][q], cap, signs, semiedge)
                     want = [search._verdict(j, L, tests, b) for b in range(-B, B + 1)]
                     assert row[cap * W:(cap + 1) * W] == want, (p, q, cap)
-                    own = 1 << j | 1 << j + L | 1 << j + 2 * L
+                    own = 1 << j | (-1 in signs) << j + L | 1 << j + 2 * L
                     assert all(v == -1 or v & ~own == 0 for v in want)
-            if qs.central:
-                # the central vertex: nothing to do with two edges, else one
-                # verdict for every balance, sign +1 only
+        return bounds
+
+    @pytest.mark.parametrize("n", range(5, 25))
+    def test_rows_match_predicate(self, n):
+        qs = _QuotientSearch(n)
+        self.check_rows(qs, (1, -1), True)
+        if qs.central:
+            # the central vertex: nothing to do with two edges, else one
+            # verdict for every balance, sign +1 only
+            m, W = qs.m, qs.W
+            L = m + 1
+            for p in range(m):
                 j = m - p - 1
-                row = rows[-1]
+                row = qs.rows[p][-1]
                 assert row[:3 * W] == [0] * (3 * W)
                 for cap in (3, 4):
                     v = row[cap * W]
                     assert row[cap * W:(cap + 1) * W] == [v] * W
                     assert v == -1 or v & ~(1 << j | 1 << j + 2 * L) == 0 and v & 1 << j
+
+    @pytest.mark.parametrize("n", range(5, 17))
+    def test_dm_rows_match_predicate(self, n):
+        # sign +1 and no semiedge; also the rule stated directly: q can be
+        # picked when |b + a| fits in its c - 1 largest future neighbors,
+        # and must be when |b| does not fit in c of them
+        dms = _DMSearch(n)
+        bounds = self.check_rows(dms, (1,), False)
+        W, B, L = dms.W, dms.B, dms.m
+        for p, a in enumerate(dms.labs):
+            for j, row in enumerate(dms.rows[p]):
+                bound = bounds[p][p + 1 + j]
+                for cap in range(1, 5):
+                    for b in range(-B, B + 1):
+                        pick, skip = abs(b + a) <= bound[cap - 1], abs(b) <= bound[cap]
+                        want = 1 << j | (not skip) << j + 2 * L if pick else 0 if skip else -1
+                        assert row[cap * W + b + B] == want, (p, j, cap, b)
 
 
 class TestSearchWork:
@@ -673,6 +698,18 @@ class TestFindLabelings:
         }
         assert direct == via_enum
 
+    @pytest.mark.parametrize("n, graphs", [(20, 2), (21, 7)])
+    def test_fixed_graph_route_matches_enumeration(self, n, graphs):
+        # dual-route check on every graph of the order: the classes the
+        # fixed-graph search finds on it equal the enumerator's on it
+        pairs, _ = search._collect(n, map(lift, quotient_run(n)[1]), ND, None)
+        by_code = {}
+        for g, l in pairs:
+            by_code.setdefault(canonical_code(g), (g, set()))[1].add(lg_edges(g, l))
+        assert len(by_code) == graphs
+        for g, classes in by_code.values():
+            assert {lg_edges(g, l) for l in find_labelings(g, ND)} == classes
+
 
 class TestFixedGraphStreams:
     """The raw emission order of the two fixed-graph searches, before
@@ -753,6 +790,13 @@ class TestLazyStream:
     def test_rejects_non_sr_options(self):
         with pytest.raises(SearchError):
             next(iter_sr_pairs(12, SearchOptions(require_self_reverse=False)))
+
+    def test_arguments_checked_at_call(self):
+        # the error comes from the call, not from the first next()
+        with pytest.raises(SearchError, match="float"):
+            iter_sr_pairs(16.0)
+        with pytest.raises(SearchError, match="self-reverse flag"):
+            iter_sr_pairs(12, SearchOptions(require_self_reverse=False))
 
 
 class TestTimeLimit:
@@ -920,16 +964,17 @@ class TestSpecInvariants:
             assert (rep.sr_count > 0) == (n in (8, 16, 18))
 
     def test_enumerate_dm_16_unique_nonwreath(self):
+        # every graph here has 16 vertices and valence 4, so are_isomorphic
+        # with wreath(8) is equality of canonical codes
         pairs, _ = enumerate_dm(16)
-        nonwreath = {
-            canonical_code(g) for g, _ in pairs if not are_isomorphic(g, wreath(8))
-        }
+        w8 = canonical_code(wreath(8))
+        nonwreath = {canonical_code(g) for g, _ in pairs} - {w8}
         assert len(nonwreath) == 1
         # piggyback on the expensive run: degenerate self-reverse instances
         # at order 16 also live on the wreath graph only
         for g, l in pairs:
             if is_self_reverse(g, l) and is_degenerate(g, l):
-                assert are_isomorphic(g, wreath(8))
+                assert canonical_code(g) == w8
 
     def test_reverse_equivalence_over_all_dm(self):
         from magiclab.labelings import are_equivalent
