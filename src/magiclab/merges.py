@@ -13,11 +13,10 @@ order b = n (mod 8) grows to order n by merging in the 8-vertex
 complete-bipartite block (n - b) / 8 times, each time along a quotient edge
 whose labels differ by 4.  Bases are the enumerator's first non-wreath
 instances with such an edge, found once per process and memoized, and so
-is each order's chain, which the three functions share.  A chain
-that ends on a wreath graph moves on to the next enumerated base, once
-through the stream.
-Wreath graphs are recognised by open twins, which needs no canonical form
-and works at every order.
+is each order's chain, which the three functions share.  No chain ends on
+a wreath graph, where every vertex has an open twin: a merge rewires only
+its four cyclet vertices, each base has a twinless vertex off its first
+cyclet, and every later step merges at the newest block.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .families import wreath, wreath_natural_labeling, wreath_nondegenerate_labeling
 from .graphs import Graph
@@ -287,22 +285,15 @@ def _is_wreath(g: Graph) -> bool:
     return g.n >= 6 and min(Counter(g.neighbors).values()) > 1
 
 
-def _candidates(order: int) -> Iterator[tuple[Graph, Labeling]]:
-    """The enumerated non-wreath instances of the order that carry an
-    extensible quotient edge, in emission order."""
+@lru_cache(maxsize=len(BASE_ORDERS))
+def _find_base(order: int) -> tuple[Graph, Labeling]:
+    """The first enumerated non-wreath instance of the order that carries an
+    extensible quotient edge, searched for once per process."""
     opts = _search.SearchOptions(require_nondegenerate=True)
     for g, l in _search.iter_sr_pairs(order, opts):
         if not _is_wreath(g) and _extensible_edge(quotient(g, l)) is not None:
-            yield g, l
-
-
-@lru_cache(maxsize=len(BASE_ORDERS))
-def _find_base(order: int) -> tuple[Graph, Labeling]:
-    """The first candidate of the order, searched for once per process."""
-    base = next(_candidates(order), None)
-    if base is None:
-        raise MergeError(f"no extensible base instance exists at order {order}")
-    return base
+            return g, l
+    raise MergeError(f"no extensible base instance exists at order {order}")
 
 
 def _extend_chain(g: Graph, l: Labeling, times: int) -> tuple[Graph, Labeling]:
@@ -329,16 +320,15 @@ def _verified(g: Graph, l: Labeling, nondegenerate: bool = False):
 @lru_cache(maxsize=64)
 def _chain_witness(n: int) -> tuple[Graph, Labeling]:
     """Extend the base of the largest order b <= n with b = n (mod 8) by
-    (n - b) / 8 blocks.  The base is tried first, then the later
-    candidates of order b, until a chain ends on a non-wreath graph.  The
-    three witness functions share one result per order; the 64 kept cover
-    the 41 orders of 5..60."""
+    (n - b) / 8 blocks.  A twinless base vertex off every cyclet stays
+    twinless, so the result is no wreath graph; the twin test guards that.
+    The three witness functions share one result per order; the 64 kept
+    cover the 41 orders of 5..60."""
     b = max(o for o in BASE_ORDERS if o <= n and (n - o) % 8 == 0)
-    for g, l in chain([_find_base(b)], islice(_candidates(b), 1, None)):
-        g, l = _extend_chain(g, l, (n - b) // 8)
-        if not _is_wreath(g):
-            return _verified(g, l, nondegenerate=True)
-    raise MergeError(f"every extension chain from order {b} ends on a wreath graph")
+    g, l = _extend_chain(*_find_base(b), (n - b) // 8)
+    if _is_wreath(g):
+        raise MergeError(f"the extension chain from order {b} ends on a wreath graph")
+    return _verified(g, l, nondegenerate=True)
 
 
 def _check_order(n) -> None:

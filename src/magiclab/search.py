@@ -578,12 +578,14 @@ def _collect(
     stream: Iterator[tuple[Graph, Labeling]],
     opts: SearchOptions,
     deadline: Optional[float],
+    start: Optional[float] = None,
 ) -> tuple[list[tuple[Graph, Labeling]], EnumerationReport]:
     """The verified pairs of a stream that never repeats a label graph,
     sorted by label-graph encoding, plus the report counting their graphs.
     Once the deadline passes, verifying and classifying stop: the pairs
-    found so far are kept and the report is marked incomplete."""
-    start = time.monotonic()
+    found so far are kept and the report is marked incomplete.  The
+    report's elapsed time runs from start, by default from this call."""
+    start = time.monotonic() if start is None else start
     pairs = []
     vt: dict[bytes, bool] = {}  # canonical code -> vertex-transitive
     complete = True
@@ -622,8 +624,8 @@ def enumerate_sr(
     classification: once it passes, the classes found so far are returned
     and the report is marked incomplete.
     """
-    deadline = _deadline(opts)
-    return _collect(n, _sr_candidates(n, opts, deadline), opts, deadline)
+    start, deadline = time.monotonic(), _deadline(opts)
+    return _collect(n, _sr_candidates(n, opts, deadline), opts, deadline, start)
 
 
 # -- all distance magic label graphs of small orders --------------------------
@@ -660,9 +662,9 @@ def enumerate_dm(
         raise SearchError("enumeration needs order >= 5")
     if opts.require_self_reverse:
         raise SearchError("enumerate_dm runs without the self-reverse flag")
-    deadline = _deadline(opts)
+    start, deadline = time.monotonic(), _deadline(opts)
     stream = (lg.to_graph() for lg in _DMSearch(n, deadline).run())
-    return _collect(n, stream, opts, deadline)
+    return _collect(n, stream, opts, deadline, start)
 
 
 # -- labelings of a fixed graph ------------------------------------------------

@@ -170,6 +170,13 @@ class TestQuotientLift:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
+    def test_lift_invalid_quotient_exit_2(self, capsys, tmp_path):
+        q = tmp_path / "q.json"
+        q.write_text('{"n": 8, "edges": [[1, 3, "solid"], [1, 3, "dashed"]]}')
+        code, out, err = run(capsys, "lift", "--quotient", str(q))
+        assert (code, out) == (2, "")
+        assert err == "parallel quotient edges between 1 and 3\n"
+
 
 class TestMergeExtendWitness:
     def test_merge_emits_graph_and_conditions(self, capsys, tmp_path):

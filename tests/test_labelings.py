@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from magiclab.families import (
@@ -27,7 +29,7 @@ from magiclab.labelings import (
     self_reverse_by_pair_structure,
     to_classical,
 )
-from magiclab.search import SearchOptions, find_labelings
+from magiclab.search import SearchOptions, enumerate_dm, find_labelings, iter_sr_pairs
 
 
 def k5() -> Graph:
@@ -138,8 +140,17 @@ class TestSelfReverse:
             (wreath(8), wreath_nondegenerate_labeling(8)),
             (wreath(5), wreath_natural_labeling(5)),
         ]
+        # every distance magic class of order 12, and the odd order-21
+        # classes, whose central vertex is a partition set of its own
+        cases += enumerate_dm(12)[0]
+        cases += iter_sr_pairs(21, SearchOptions(require_nondegenerate=True))
+        verdicts = Counter()
         for g, l in cases:
-            assert is_self_reverse(g, l) == self_reverse_by_pair_structure(g, l)
+            verdict = is_self_reverse(g, l)
+            assert verdict == self_reverse_by_pair_structure(g, l)
+            verdicts[verdict, g.n] += 1
+        assert verdicts == {(True, 8): 1, (False, 16): 1, (True, 16): 1, (True, 10): 1,
+                            (True, 12): 60, (False, 12): 54, (True, 21): 57}
 
 
 class TestDegeneracy:

@@ -79,6 +79,20 @@ class TestQuotientConstruction:
         with pytest.raises(QuotientError, match=named):
             QuotientGraph(*args)
 
+    # one input per structural invariant that validate checks before degrees
+    @pytest.mark.parametrize("args, named", [
+        ((8, [], (), True), "central flag must match order parity"),
+        ((8, [(1, 9, SOLID)]), r"edge \(1,9\) has a non-vertex endpoint"),
+        ((8, [(3, 3, SOLID)]), "loop at quotient vertex 3"),
+        ((8, [(1, 3, "dotted")]), "unknown edge color 'dotted'"),
+        ((8, [(1, 3, SOLID), (1, 3, DASHED)]), "parallel quotient edges between 1 and 3"),
+        ((8, [], (2,)), "semiedge at non-vertex 2"),
+        ((9, [], (0,), True), "the central vertex cannot carry a semiedge"),
+    ], ids=["parity", "endpoint", "loop", "color", "parallel", "semiedge", "central-semiedge"])
+    def test_validate_names_the_broken_invariant(self, args, named):
+        with pytest.raises(QuotientError, match=named):
+            QuotientGraph(*args).validate()
+
 
 class TestLift:
     def test_w4_round_trip(self):

@@ -698,17 +698,25 @@ class TestFindLabelings:
         }
         assert direct == via_enum
 
-    @pytest.mark.parametrize("n, graphs", [(20, 2), (21, 7)])
-    def test_fixed_graph_route_matches_enumeration(self, n, graphs):
+    @pytest.mark.parametrize(
+        "n, graphs, opts",
+        [(20, 2, ND), (21, 7, ND), (10, 1, DM), (12, 2, DM), (14, 2, DM)],
+        ids=["20-2", "21-7", "dm-10", "dm-12", "dm-14"],
+    )
+    def test_fixed_graph_route_matches_enumeration(self, n, graphs, opts):
         # dual-route check on every graph of the order: the classes the
-        # fixed-graph search finds on it equal the enumerator's on it
-        pairs, _ = search._collect(n, map(lift, quotient_run(n)[1]), ND, None)
+        # fixed-graph search finds on it equal the enumerator's on it; under
+        # DM, the all-labelings search against the label-set enumerator
+        if opts is DM:
+            pairs, _ = enumerate_dm(n, DM)
+        else:
+            pairs, _ = search._collect(n, map(lift, quotient_run(n)[1]), ND, None)
         by_code = {}
         for g, l in pairs:
             by_code.setdefault(canonical_code(g), (g, set()))[1].add(lg_edges(g, l))
         assert len(by_code) == graphs
         for g, classes in by_code.values():
-            assert {lg_edges(g, l) for l in find_labelings(g, ND)} == classes
+            assert {lg_edges(g, l) for l in find_labelings(g, opts)} == classes
 
 
 class TestFixedGraphStreams:
@@ -929,6 +937,17 @@ class TestReportSemantics:
         a = EnumerationReport(10, 1, 1, 1, True, elapsed=0.5)
         b = EnumerationReport(10, 1, 1, 1, True, elapsed=9.9)
         assert a == b
+
+    @pytest.mark.parametrize("run", [lambda: enumerate_sr(12), lambda: enumerate_dm(8)],
+                             ids=["sr", "dm"])
+    def test_elapsed_covers_search_setup(self, monkeypatch, run):
+        # the search builds its tables before its first node; the report's
+        # wall time includes them
+        table = search._bound_table
+        monkeypatch.setattr(search, "_bound_table", lambda mags: time.sleep(0.3) or table(mags))
+        start = time.monotonic()
+        _, rep = run()
+        assert 0.3 <= rep.elapsed <= time.monotonic() - start
 
     def test_counts_monotone(self):
         for n in (12, 16, 18):
