@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import families, merges, quotients, search
-from .graphs import Graph, graph_from_json, graph_to_json
+from .graphs import Graph, connected_components, graph_from_json, graph_to_json
 from .labelings import (
     Labeling,
     is_degenerate,
@@ -149,6 +149,9 @@ def _cmd_lift(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_VERIFY
     print(json.dumps(_pair_payload(g, l)))
+    parts = len(connected_components(g))
+    if parts > 1:
+        print(f"note: the cover is disconnected, {parts} components", file=sys.stderr)
     return EXIT_OK
 
 

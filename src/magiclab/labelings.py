@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, _json_edge, _json_int
@@ -167,6 +168,76 @@ def pairing_is_degenerate(g: Graph, part: Sequence[int]) -> bool:
             if pv != v and pv != u and g.has_edge(u, pv):
                 return True
     return False
+
+
+def linear_dependencies(vectors: Sequence[Sequence[int]]) -> list:
+    """For each integer vector in turn: None when it is independent of the
+    vectors before it, else (coeffs, den) with den > 0 and den * vector =
+    sum of coeffs[q] * vectors[q], q over earlier independent vectors with a
+    nonzero coefficient.  Integer elimination only."""
+    echelon = []  # (lead, row, comb): row = sum of comb[q] * vectors[q]
+    out = []
+    for k, vec in enumerate(vectors):
+        w, den, comb = list(vec), 1, {}  # w = den * vec - sum comb[q] * vectors[q]
+        for lead, row, rc in echelon:
+            x, y = w[lead], row[lead]
+            if x:
+                w = [y * a - x * b for a, b in zip(w, row)]
+                den *= y
+                comb = {q: y * comb.get(q, 0) + x * rc.get(q, 0) for q in comb.keys() | rc.keys()}
+                d = gcd(den, *w, *comb.values())
+                w, den = [a // d for a in w], den // d
+                comb = {q: c // d for q, c in comb.items() if c}
+        if any(w):
+            lead = next(i for i, a in enumerate(w) if a)
+            echelon.append((lead, w, {k: den, **{q: -c for q, c in comb.items()}}))
+            out.append(None)
+        else:
+            sign = 1 if den > 0 else -1
+            out.append(({q: sign * c for q, c in comb.items()}, sign * den))
+    return out
+
+
+def pairing_kernel(g: Graph, part: Sequence[int]) -> Optional[list[tuple[int, ...]]]:
+    """The balance equations of the labelings of g whose partner map is
+    part, solved: one integer row per pair (u, part[u]), u < part[u], by u,
+    such that the label vectors of the first vertices u that balance every
+    vertex are the B c over rational c, B the matrix of these rows; or None
+    when part cannot carry a distance magic labeling.
+
+    With x_i the label of pair i's first vertex and -x_i its partner's, the
+    balance at each first vertex is one row of M x = 0: a neighbor in pair j
+    adds x_j if it is j's first vertex and -x_j otherwise (a straight
+    matching +1, a crossed one -1, a full block 0, the partner itself -1 on
+    the diagonal); the central vertex adds 0, and the balance at a partner
+    is the negated balance at its first vertex.  The columns of B are a
+    kernel basis of M.  None when a row is 0, so that the pair's label is 0,
+    or two rows agree up to sign, so that two pairs share a magnitude."""
+    firsts = [u for u in range(g.n) if part[u] > u]
+    index = {}
+    for i, u in enumerate(firsts):
+        index[u] = index[part[u]] = i
+    k = len(firsts)
+    cols = [[0] * k for _ in range(k)]  # cols[j][i] = M[i][j]
+    for i, u in enumerate(firsts):
+        for v in g.neighbors[u]:
+            if part[v] != v:
+                cols[index[v]][i] += 1 if v < part[v] else -1
+    basis = []
+    for j, dep in enumerate(linear_dependencies(cols)):
+        if dep is not None:
+            x = [0] * k
+            for q, c in dep[0].items():
+                x[q] = -c
+            x[j] = dep[1]
+            basis.append(x)
+    rows = [tuple(x[i] for x in basis) for i in range(k)]
+    seen: set[tuple[int, ...]] = set()
+    for row in rows:
+        if not any(row) or row in seen:
+            return None
+        seen.update((row, tuple(-a for a in row)))
+    return rows
 
 
 class LabelGraph:

@@ -50,7 +50,9 @@ from .labelings import (
     is_self_reverse,
     label_graph,
     label_set,
+    linear_dependencies,
     pairing_is_degenerate,
+    pairing_kernel,
 )
 from .quotients import DASHED, SOLID, QuotientGraph, lift
 
@@ -726,6 +728,18 @@ class _InvolutionSearch(_Backtracker):
     its neighbors can still balance; signed balances are kept current on
     apply and undo.
 
+    The balances are linear in the labels (labelings.pairing_kernel): the
+    labels of the cells form a kernel vector B c.  A cell whose row of B
+    depends on the rows of the cells before it is forced: its label is a
+    fixed rational combination of theirs, kept current on apply and undo
+    over one common denominator.  The position completing that combination
+    drops a candidate that makes it no unused magnitude (not integral, 0,
+    not a label, or taken by an assigned, forced or sibling cell) and holds
+    the magnitude otherwise, and the cell's own position tries only its
+    forced label.  A dropped subtree holds no labeling, so the emissions
+    are those of the search without this; with no kernel (pairing_kernel
+    None) the search emits nothing.
+
     Labelings l and l . alpha, for alpha in the centralizer C of sigma in
     Aut(g) (filtered from group, the listed Aut(g)), have partner map sigma
     and one label graph, and two labelings with partner map sigma and one
@@ -748,7 +762,8 @@ class _InvolutionSearch(_Backtracker):
     """
 
     __slots__ = (
-        "n", "cells", "neigh", "semi", "mags", "used", "mag", "orient", "bal", "order", "plan",
+        "n", "cells", "neigh", "semi", "mags", "used", "held", "mag", "orient", "bal", "acc",
+        "terms", "order", "plan",
     )
 
     def __init__(
@@ -810,9 +825,32 @@ class _InvolutionSearch(_Backtracker):
                 elif u != w:
                     turn[t] = True
             stab = [alpha for alpha in stab if alpha[w] == w]
+        # the forced cells: acc[j] sums terms[i] = (j, c) over assigned
+        # cells i, and fixes[p] = (j, c, den) once position p completes the
+        # sum, at whose end den * label(j) = acc[j]; held: the magnitudes
+        # of assigned and forced cells, 0 and the non-labels, or all of them
+        rows = pairing_kernel(g, sigma)
+        self.held = [True] * n
+        self.acc = [0] * k
+        self.terms: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+        fixes: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+        den = [0] * m
+        if rows is not None:
+            for a in self.mags:
+                self.held[a] = False
+            row = dict(zip((i for i, cell in enumerate(self.cells) if len(cell) == 2), rows))
+            for q, dep in enumerate(linear_dependencies([row[i] for i in self.order])):
+                if dep is not None:
+                    coeffs, den[q] = dep
+                    j = self.order[q]
+                    for p, c in coeffs.items():
+                        self.terms[self.order[p]].append((j, c))
+                    last = max(coeffs)
+                    fixes[last].append((j, coeffs[last], den[q]))
         # plan[p]: cell i's neighbors as (j, t, assigned, open slots once
         # position p is complete, the semiedge counted if j is unassigned),
-        # i's own open slots, the cells to stay under and the orientations
+        # i's own open slots, the cells to stay under, the orientations, the
+        # forced cells p completes and i's denominator if i is forced, else 0
         self.plan = []
         for p, i in enumerate(self.order):
             nbrs = [
@@ -820,7 +858,7 @@ class _InvolutionSearch(_Backtracker):
                 for j, t in self.neigh[i]
             ]
             orients = (1,) if turn[p] else (1, -1)
-            self.plan.append((nbrs, open_after(i, p), tuple(below[p]), orients))
+            self.plan.append((nbrs, open_after(i, p), tuple(below[p]), orients, fixes[p], den[p]))
 
     def _snapshot(self) -> Labeling:
         labels = [0] * self.n
@@ -831,27 +869,39 @@ class _InvolutionSearch(_Backtracker):
         return Labeling(labels)
 
     def _apply(self, p: int, choice):
-        a, o = choice
+        a, o, hold = choice
         i = self.order[p]
         self.mag[i] = a
         self.orient[i] = o
         self.used[a] = True
+        for b in hold:
+            self.held[b] = True
         for j, t in self.neigh[i]:
             self.bal[j] += t * o * a
+        for j, c in self.terms[i]:
+            self.acc[j] += c * o * a
 
     def _undo(self, p: int, choice):
-        a, o = choice
-        self.used[a] = False
-        for j, t in self.neigh[self.order[p]]:
-            self.bal[j] -= t * o * a
-
-    def _choices(self, p: int) -> list[tuple[int, int]]:
-        """All (magnitude, orientation) pairs for position p's cell that keep
-        the lex-leader constraints and after which the cell and its
-        neighbors can still balance, in search order."""
-        cell_nbrs, r, below, orients = self.plan[p]
+        a, o, hold = choice
         i = self.order[p]
-        semi, mag, orient, bal = self.semi, self.mag, self.orient, self.bal
+        self.used[a] = False
+        for b in hold:
+            self.held[b] = False
+        for j, t in self.neigh[i]:
+            self.bal[j] -= t * o * a
+        for j, c in self.terms[i]:
+            self.acc[j] -= c * o * a
+
+    def _choices(self, p: int) -> list[tuple[int, int, tuple]]:
+        """All (magnitude, orientation, magnitudes to hold) for position p's
+        cell that keep the lex-leader constraints, leave each forced cell an
+        unused magnitude and after which the cell and its neighbors can
+        still balance, in search order."""
+        cell_nbrs, r, below, orients, fixes, den = self.plan[p]
+        i = self.order[p]
+        semi, mag, orient, bal, acc, held = (
+            self.semi, self.mag, self.orient, self.bal, self.acc, self.held,
+        )
         # once cell i takes the signed magnitude s, neighbor j with r open
         # slots still balances iff |c0 - c1 * s| <= r * (largest free
         # magnitude); an unassigned neighbor may spend a slot on its semiedge
@@ -865,13 +915,18 @@ class _InvolutionSearch(_Backtracker):
                 nbrs.append((-bal[j], t, rj))
         cap = min([mag[c] for c in below], default=self.n)
         avail = [a for a in self.mags if not self.used[a]] + [0]
+        # (magnitude, the largest left after it, orientations)
+        if den:
+            a, o = abs(acc[i]) // den, 1 if acc[i] > 0 else -1
+            tries = [(a, avail[avail[0] == a], (o,))] if a <= cap and o in orients else []
+        else:
+            tries = [
+                (a, avail[ai == 0], orients)
+                for ai, a in enumerate(avail[:-1]) if a <= cap and not held[a]
+            ]
         out = []
-        for ai in range(len(avail) - 1):
-            a = avail[ai]
-            if a > cap:
-                continue
-            nxt = avail[1] if ai == 0 else avail[0]  # the largest left after a
-            for o in orients:
+        for a, nxt, signs in tries:
+            for o in signs:
                 if abs((a if semi[i] else 0) - o * bal[i]) > r * nxt:
                     continue
                 s = o * a
@@ -879,7 +934,15 @@ class _InvolutionSearch(_Backtracker):
                     if abs(c0 - c1 * s) > rj * nxt:
                         break
                 else:
-                    out.append((a, o))
+                    hold = [] if den else [a]
+                    for j, c, d in fixes:
+                        t = acc[j] + c * s
+                        b = abs(t) // d
+                        if t % d or b >= self.n or held[b] or b in hold:
+                            break
+                        hold.append(b)
+                    else:
+                        out.append((a, o, tuple(hold)))
         return out
 
 
@@ -969,10 +1032,13 @@ def find_labelings(
     With the self-reverse flag Aut(g) is listed once, and the search runs
     once per Aut(g)-conjugacy class of candidate partner involutions; each
     run emits one labeling per label graph, skipping the relabelings by the
-    involution's centralizer; with the non-degenerate flag, an involution
-    whose pairs alone make a labeling degenerate is not searched.
-    Otherwise it is a direct exhaustive placement that skips branches that
-    only swap twin vertices.  What the searches skip either repeats label
+    involution's centralizer and the subtrees where the linear balance
+    system leaves a forced pair no unused magnitude.  An involution whose
+    balance system forces a label 0 or one magnitude on two pairs
+    (pairing_kernel) is not searched, nor, with the non-degenerate flag,
+    one whose pairs alone make a labeling degenerate.  Otherwise it is a
+    direct exhaustive placement that skips branches that only swap twin
+    vertices.  What the searches skip holds no labeling, repeats label
     graphs already emitted earlier in the stream or fails the flags, so
     the order in which label graphs first appear, and with it
     the representative of each, is that of the search over every involution
@@ -995,6 +1061,8 @@ def find_labelings(
         if opts.require_nondegenerate:
             # every labeling with such a partner map is degenerate
             sigmas = [s for s in sigmas if not pairing_is_degenerate(g, s)]
+        # and with such a one there is none
+        sigmas = [s for s in sigmas if pairing_kernel(g, s) is not None]
         searches = (_InvolutionSearch(g, s, group, deadline) for s in sigmas)
     else:
         searches = [_PlacementSearch(g, deadline)]

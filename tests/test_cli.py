@@ -170,6 +170,24 @@ class TestQuotientLift:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
+    def test_lift_disconnected_cover_noted(self, capsys, tmp_path):
+        # one order-8 quotient block lifts to a connected cover; two disjoint
+        # blocks lift to a 16-vertex cover in two pieces: the pair is still
+        # printed, and stderr says so
+        block = [[1, 3, "solid"], [1, 5, "solid"], [3, 7, "solid"], [5, 7, "solid"],
+                 [1, 7, "dashed"], [3, 5, "dashed"]]
+        q = tmp_path / "q.json"
+        for n, edges, err_text in (
+            (8, block, ""),
+            (16, block + [[a + 8, b + 8, c] for a, b, c in block],
+             "note: the cover is disconnected, 2 components\n"),
+        ):
+            q.write_text(json.dumps({"n": n, "edges": edges, "semiedges": list(range(1, n, 2)),
+                                     "central": False}))
+            code, out, err = run(capsys, "lift", "--quotient", str(q))
+            assert code == 0 and err == err_text
+            assert graph_from_json(json.dumps(json.loads(out)["graph"])).n == n
+
     def test_lift_invalid_quotient_exit_2(self, capsys, tmp_path):
         q = tmp_path / "q.json"
         q.write_text('{"n": 8, "edges": [[1, 3, "solid"], [1, 3, "dashed"]]}')

@@ -25,7 +25,9 @@ from magiclab.labelings import (
     label_set,
     labeling_from_json,
     labeling_to_json,
+    linear_dependencies,
     pair_partition,
+    pairing_kernel,
     self_reverse_by_pair_structure,
     to_classical,
 )
@@ -162,6 +164,36 @@ class TestDegeneracy:
 
     def test_w8_formula_not_degenerate(self):
         assert not is_degenerate(wreath(8), wreath_nondegenerate_labeling(8))
+
+
+class TestPairingKernel:
+    def test_linear_dependencies(self):
+        # 2 (1, 1) = (2, 0) + (0, 2), 0 = nothing, 2 (3, -1) = 3 (2, 0) - (0, 2)
+        got = linear_dependencies([(2, 0), (0, 2), (1, 1), (0, 0), (3, -1)])
+        assert got == [None, None, ({0: 1, 1: 1}, 2), ({}, 1), ({0: 3, 1: -1}, 2)]
+
+    def test_cycles_and_a_wreath(self):
+        c6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+        c8 = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
+        # C6, pairs (i, i+3): vertex 0 sees 1 (first of pair 1) and 5 (second
+        # of pair 2), so x1 - x2 = 0; likewise x0 + x2 = 0 and x1 - x0 = 0,
+        # which only x = 0 solves
+        assert pairing_kernel(c6, [(v + 3) % 6 for v in range(6)]) is None
+        # C8, pairs (i, 7-i): -x0 + x1 = 0, x0 + x2 = 0, x1 + x3 = 0 and
+        # x2 - x3 = 0 give the rows (1), (1), (-1), (-1): one magnitude
+        assert pairing_kernel(c8, [7 - v for v in range(8)]) is None
+        # wreath(4), pairs (i, i+4): every neighbor pair is a full block, so
+        # M = 0 and each pair takes any label
+        rows = pairing_kernel(wreath(4), [(v + 4) % 8 for v in range(8)])
+        assert rows == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+    def test_labeling_is_a_kernel_vector(self):
+        g, l = wreath(8), wreath_nondegenerate_labeling(8)
+        part = [l.partner(v) for v in range(g.n)]
+        rows = pairing_kernel(g, part)
+        x = [l.label(u) for u in range(g.n) if part[u] > u]
+        *basis, last = linear_dependencies([*zip(*rows), x])
+        assert basis == [None] * len(rows[0]) and last is not None
 
 
 class TestEquivalence:

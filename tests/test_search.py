@@ -25,6 +25,7 @@ from magiclab.labelings import (
     label_graph,
     label_graph_to_json,
     labeling_to_json,
+    pairing_kernel,
 )
 from magiclab.merges import witness_non_wreath
 from magiclab.quotients import lift, quotient
@@ -48,6 +49,7 @@ from magiclab.search import (
     _verify_emission,
 )
 
+from enumerations import nd_enumeration
 from oracle import (
     lg_connected,
     lg_degenerate,
@@ -598,11 +600,12 @@ class TestFindLabelings:
         assert all(is_distance_magic(g, l) for l in loose)
 
     def test_work_counts(self, monkeypatch):
-        # one involution search per conjugacy class, each emitting one
-        # labeling per label graph, and twins placed one way: wreath(6) emits
-        # 60 and 120 raw labelings for its 60 classes, against 23,040 over 45
-        # involutions and 3,840 placements when every involution, every
-        # member of each centralizer and every twin swap is searched
+        # one involution search per conjugacy class whose balance system
+        # admits a labeling, each emitting one labeling per label graph, and
+        # twins placed one way: wreath(6) searches 1 of its 4 classes and
+        # emits 60 and 120 raw labelings for its 60 classes, against 23,040
+        # over 45 involutions and 3,840 placements when every involution,
+        # every member of each centralizer and every twin swap is searched
         runs = []
 
         class Counted(_InvolutionSearch):
@@ -614,7 +617,7 @@ class TestFindLabelings:
 
         monkeypatch.setattr(search, "_InvolutionSearch", Counted)
         assert len(find_labelings(wreath(6), SR)) == 60
-        assert (len(runs), sum(runs)) == (4, 60)
+        assert (len(runs), sum(runs)) == (1, 60)
         assert sum(1 for _ in _PlacementSearch(wreath(6)).run()) == 120
 
     @pytest.mark.parametrize(
@@ -632,19 +635,63 @@ class TestFindLabelings:
 
     def test_degenerate_partner_maps_not_searched(self, monkeypatch):
         # two of the four partner-map classes of wreath(6) and of wreath(8)
-        # put both members of a pair next to a vertex of another pair
-        runs = []
+        # put both members of a pair next to a vertex of another pair; of
+        # the other two, the balance system rules out both on wreath(6) and
+        # one on wreath(8)
+        runs, degenerate, no_kernel = [], [], []
 
         class Counted(_InvolutionSearch):
             def run(self):
                 runs.append(self)
                 yield from super().run()
 
+        def count(log, f, bad):
+            def counted(g, s):
+                out = f(g, s)
+                log.append(out is bad)
+                return out
+            return counted
+
         monkeypatch.setattr(search, "_InvolutionSearch", Counted)
-        for k, classes in ((6, 0), (8, 48)):
-            runs.clear()
+        monkeypatch.setattr(
+            search, "pairing_is_degenerate", count(degenerate, search.pairing_is_degenerate, True)
+        )
+        monkeypatch.setattr(search, "pairing_kernel", count(no_kernel, search.pairing_kernel, None))
+        for k, classes, dropped in ((6, 0, 2), (8, 48, 1)):
+            for log in (runs, degenerate, no_kernel):
+                log.clear()
             assert len(find_labelings(wreath(k), ND)) == classes
-            assert len(runs) == 2
+            assert (len(degenerate), sum(degenerate)) == (4, 2)
+            assert sum(no_kernel) == dropped
+            assert len(runs) == 2 - dropped
+
+    @pytest.mark.parametrize(
+        "make, dead",
+        [
+            (lambda: wreath(6), [0, 1, 2]),
+            (lambda: cartesian_cycles(3, 5), [0]),
+            (lambda: cartesian_cycles(3, 6), [0, 1, 3]),
+            (lambda: witness_non_wreath(18)[0], [0, 1, 2]),
+        ],
+        ids=["wreath6", "cc35", "cc36", "wnw18"],
+    )
+    def test_partner_maps_without_kernel_emit_nothing(self, monkeypatch, make, dead):
+        # the partner maps whose balance system forces a label 0 or two
+        # equal magnitudes are not searched by find_labelings; searched
+        # anyway, they emit nothing, after one node
+        g = make()
+        group = automorphism_group(g)
+        sigmas = _involutions_with_pairing(g, group)
+        assert [i for i, s in enumerate(sigmas) if pairing_kernel(g, s) is None] == dead
+        for i in dead:
+            s = _InvolutionSearch(g, sigmas[i], group)
+            assert list(s.run()) == [] and s.nodes == 1
+        built = []
+        monkeypatch.setattr(
+            search, "_InvolutionSearch", lambda g, s, *a: built.append(s) or _InvolutionSearch(g, s, *a)
+        )
+        find_labelings(g, SR)
+        assert built == [s for i, s in enumerate(sigmas) if i not in dead]
 
     @pytest.mark.parametrize(
         "make, sizes",
@@ -700,23 +747,33 @@ class TestFindLabelings:
 
     @pytest.mark.parametrize(
         "n, graphs, opts",
-        [(20, 2, ND), (21, 7, ND), (10, 1, DM), (12, 2, DM), (14, 2, DM)],
-        ids=["20-2", "21-7", "dm-10", "dm-12", "dm-14"],
+        [
+            (16, 1, ND), (18, 2, ND), (20, 2, ND), (21, 7, ND), (23, 80, ND), (24, 9, ND),
+            (10, 1, DM), (12, 2, DM), (14, 2, DM),
+        ],
+        ids=["16-1", "18-2", "20-2", "21-7", "23-80", "24-9", "dm-10", "dm-12", "dm-14"],
     )
     def test_fixed_graph_route_matches_enumeration(self, n, graphs, opts):
         # dual-route check on every graph of the order: the classes the
         # fixed-graph search finds on it equal the enumerator's on it; under
-        # DM, the all-labelings search against the label-set enumerator
+        # DM, the all-labelings search against the label-set enumerator.  A
+        # label graph is isomorphic to its graph, so the classes of
+        # non-isomorphic graphs are disjoint: a pair's graph is searched when
+        # its class is not yet found, and searching exactly one graph per
+        # isomorphism class and finding every class checks each graph
         if opts is DM:
-            pairs, _ = enumerate_dm(n, DM)
+            pairs, rep = enumerate_dm(n, DM)
+        elif n >= 23:
+            pairs, rep = nd_enumeration(n)
         else:
-            pairs, _ = search._collect(n, map(lift, quotient_run(n)[1]), ND, None)
-        by_code = {}
+            pairs, rep = search._collect(n, map(lift, quotient_run(n)[1]), ND, None)
+        found, searched = set(), 0
         for g, l in pairs:
-            by_code.setdefault(canonical_code(g), (g, set()))[1].add(lg_edges(g, l))
-        assert len(by_code) == graphs
-        for g, classes in by_code.values():
-            assert {lg_edges(g, l) for l in find_labelings(g, opts)} == classes
+            if lg_edges(g, l) not in found:
+                searched += 1
+                found.update(lg_edges(g, x) for x in find_labelings(g, opts))
+        assert rep.iso_class_count == searched == graphs
+        assert found == {lg_edges(g, l) for g, l in pairs}
 
 
 class TestFixedGraphStreams:
@@ -764,6 +821,30 @@ class TestFixedGraphStreams:
             for l in search.run():
                 h.update(labeling_to_json(l).encode() + b"\n")
         assert h.hexdigest() == self.DIGESTS[name, seed, mode]
+
+    # _InvolutionSearch nodes over every partner map, as (before, after)
+    # the search forced the cells its balance system fixes; a partner map
+    # without a kernel takes one node
+    NODES = {
+        ("wreath5", None): (101, 67),
+        ("wreath5", 7): (77, 42),
+        ("cc35", None): (78, 1),
+        ("cc35", 7): (146, 1),
+        ("wnw18", None): (175_918, 4_391),
+        ("wnw18", 7): (68_647, 2_903),
+    }
+
+    @pytest.mark.parametrize("name, seed", sorted(NODES, key=str))
+    def test_involution_nodes(self, name, seed):
+        g = renumbered(self.GRAPHS[name](), seed)
+        group = automorphism_group(g)
+        nodes = 0
+        for sigma in _involutions_with_pairing(g, group):
+            s = _InvolutionSearch(g, sigma, group)
+            for _ in s.run():
+                pass
+            nodes += s.nodes
+        assert nodes == self.NODES[name, seed][1]
 
     @pytest.mark.parametrize(
         "make, seed",
