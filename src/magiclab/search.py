@@ -14,18 +14,18 @@ position at a time on one explicit stack, and each position's chooser tests
 every candidate against the balance look-ahead before returning it, so no
 choice is applied only to be undone.  The two label-graph searches are one
 search: the all-labelings search is the quotient search over every label,
-with edges of sign +1 and no semiedge.  It keeps each position's open
-slots and partial balance in one int and tabulates the look-ahead per pair
-of positions when it starts, so its chooser reads one list entry per later
-position; its choices come from pick buckets: per position, the signed
-subsets of the later positions listed once by size and sum, the first time
-a node asks for them, so a node's choices are a bucket filtered by the
-masks of the signs its look-ahead allows and the picks it forces.  The
-fixed-graph searches test their candidates in place.  The searches run in
-the calling thread; emission order is deterministic.  Both enumerators
-pass their pairs, lifted from quotients by quotients.lift or unfolded from
-label graphs, through one verify, sort and classify step under the
-search's deadline.
+with edges of sign +1 and no semiedge.  It keeps each position's open slots
+and partial balance in one int and tabulates the look-ahead per pair of
+positions when it starts, so its chooser reads one list entry per later
+position.  Per position, the first node at each state int looks up its
+entries in the pick buckets (the signed subsets of the later positions by
+size and sum) and keeps them under that int, so a node's choices are one dict
+lookup filtered by the masks of the signs its look-ahead allows and the picks
+it forces.  The fixed-graph searches test their candidates in place.  The
+searches run in the calling thread; emission order is deterministic.  Both
+enumerators pass their pairs, lifted from quotients by quotients.lift or
+unfolded from label graphs, through one verify, sort and classify step under
+the search's deadline.
 
 Degenerate self-reverse classes exist only on wreath graphs (a vertex
 adjacent to a full pair forces twin pairs everywhere), where every circular
@@ -194,8 +194,8 @@ class _PickBuckets(dict):
     mask and bit j of a position mask.  The bucket at (need, target) lists
     every way to pick need candidates, each with one of its signs, whose
     signed values sum to target, as entries (sign bits, position bits,
-    (0, picks), (1, picks)), picks being ((candidate, sign), ...).  Entries
-    are in depth-first order: candidates in list order, each taken with its
+    picks), picks being ((candidate, sign), ...).  Entries are in
+    depth-first order: candidates in list order, each taken with its
     signs in order before it is left out.  Values must be non-increasing in
     magnitude, so the next need magnitudes bound what need picks can reach
     and _walk descends only where they can."""
@@ -222,26 +222,11 @@ class _PickBuckets(dict):
             (
                 sum(1 << (bit[q] if sig > 0 else bit[q] + self.L) for q, sig in picks),
                 sum(1 << bit[q] for q, _ in picks),
-                (0, picks),
-                (1, picks),
+                picks,
             )
             for picks in found
         ]
         return bucket
-
-
-def _pick(buckets: _PickBuckets, allowed: int, forced: int, wants) -> list[tuple[int, tuple]]:
-    """For each (tag, need, target) in wants, tag 0 or 1, the (tag, picks)
-    of the bucket's entries whose signs are all in the sign mask allowed and
-    whose positions include every one in the position mask forced, in
-    bucket order."""
-    banned = ~allowed
-    out = []
-    for tag, need, target in wants:
-        if need >= 0:
-            k = tag + 2
-            out += [e[k] for e in buckets[need, target] if not (e[0] & banned or forced & ~e[1])]
-    return out
 
 
 class _Backtracker:
@@ -392,23 +377,25 @@ class _QuotientSearch(_Backtracker):
     position, and only the cap part of its state is read.  The rows hold
     about 5 * W * m^2 / 2 entries: 0.3 MB at n = 20, 1 MB at n = 30.
 
-    A node's scan ORs one row entry per later position into a mask, and
-    the choices for p are the entries of two of p's pick buckets, chosen by
-    divmod(st[p], W), whose signs the mask allows and whose positions cover
-    the forced ones: cap edges balancing b, or a semiedge and cap - 1 edges.
-    The buckets of p (_PickBuckets) list the signed subsets of the later
-    positions by size and sum; each is built by the subset walk the first
-    time a node asks for it and kept for the run: 287 buckets (0.7 MB) at
-    n = 24, about 460 (1.2 MB) at n = 30.
+    A node's scan ORs one row entry per later position into a mask; the
+    choices for p are p's entries at state st[p] whose signs the mask allows
+    and whose positions cover the forced ones.  entries[p][s], built on the
+    first node at state s (at most 5 * W states), holds the entries of two
+    of p's pick buckets, cap edges balancing b, then a semiedge and cap - 1
+    edges, with the choice (semiedge flag, picks, the (q, sig * a - W)
+    _apply adds to st[q]).  The buckets (_PickBuckets), the signed subsets
+    of the later positions by size and sum, are built by the subset walk
+    when first asked for: 287 (0.7 MB) at n = 24, about 460 at n = 30.
 
     _setup takes the positions, the edge signs and whether there are
     semiedges and a central vertex, so the same search runs _DMSearch.
     Without semiedges the rows hold no semiedge intervals, and the
-    semiedge's want asks for more edges than a vertex has.
+    semiedge bucket needs more edges than a vertex has.
     """
 
     __slots__ = (
         "n", "labs", "central", "st", "W", "B", "L2", "semi_slots", "chosen", "rows", "buckets",
+        "entries",
     )
 
     def __init__(self, n: int, deadline: Optional[float] = None):
@@ -429,7 +416,7 @@ class _QuotientSearch(_Backtracker):
         self.W = W = 2 * B + 1
         self.semi_slots = 1 if semiedge else 5  # 5 > any cap: no semiedge want is met
         self.st = [4 * W + B] * L
-        self.chosen: list[tuple[int, tuple]] = [(0, ())] * m  # the choice applied per position
+        self.chosen: list[tuple] = [(0, (), ())] * m  # the choice applied per position
         bounds = _bound_table([abs(x) for x in labs])
         self.rows = []
         self.buckets = []
@@ -450,31 +437,43 @@ class _QuotientSearch(_Backtracker):
                 recs.append((m, 0, (1,)))
             self.rows.append(rows_p)
             self.buckets.append(_PickBuckets(recs, L))
+        self.entries: list[dict[int, list]] = [{} for _ in range(m)]
 
     def _snapshot(self) -> QuotientGraph:
         labs = [*self.labs, 0]  # position m is the central vertex
         edges = [
             (labs[p], labs[q], SOLID if sig > 0 else DASHED)
-            for p, (_, picks) in enumerate(self.chosen)
+            for p, (_, picks, _) in enumerate(self.chosen)
             for q, sig in picks
         ]
-        semi = [labs[p] for p, (s, _) in enumerate(self.chosen) if s]
+        semi = [labs[p] for p, (s, _, _) in enumerate(self.chosen) if s]
         return QuotientGraph(self.n, edges, semi, self.central)
 
     def _apply(self, p: int, choice):
         self.chosen[p] = choice
-        a, st, W = self.labs[p], self.st, self.W
-        for q, sig in choice[1]:
-            st[q] += sig * a - W
+        st = self.st
+        for q, d in choice[2]:
+            st[q] += d
 
     def _undo(self, p: int, choice):
-        a, st, W = self.labs[p], self.st, self.W
-        for q, sig in choice[1]:
-            st[q] -= sig * a - W
+        st = self.st
+        for q, d in choice[2]:
+            st[q] -= d
 
-    def _choices(self, p: int) -> list[tuple[int, tuple]]:
-        """All (semiedge flag, edge picks) pairs completing position p that
-        leave every later vertex able to balance, in search order."""
+    def _entries(self, p: int) -> list[tuple[int, int, tuple]]:
+        """Build entries[p][st[p]], position p's entries at its state."""
+        s, W, a = self.st[p], self.W, self.labs[p]
+        cap, b = divmod(s, W)
+        b -= self.B
+        out = self.entries[p][s] = []
+        for semi, need, target in ((0, cap, -b), (1, cap - self.semi_slots, a - b)):
+            for sb, pb, picks in self.buckets[p][need, target] if need >= 0 else ():
+                out.append((sb, pb, (semi, picks, tuple((q, sig * a - W) for q, sig in picks))))
+        return out
+
+    def _choices(self, p: int) -> list[tuple[int, tuple, tuple]]:
+        """All (semiedge flag, edge picks, state deltas) completing position
+        p that leave every later vertex able to balance, in search order."""
         st = self.st
         mask = 0
         for row, s in zip(self.rows[p], st[p + 1:]):
@@ -482,10 +481,11 @@ class _QuotientSearch(_Backtracker):
             if v < 0:
                 return []
             mask |= v
-        cap, b = divmod(st[p], self.W)
-        b -= self.B
-        wants = ((0, cap, -b), (1, cap - self.semi_slots, self.labs[p] - b))
-        return _pick(self.buckets[p], mask, mask >> self.L2, wants)
+        entries = self.entries[p].get(st[p])
+        if entries is None:
+            entries = self._entries(p)
+        banned, forced = ~mask, mask >> self.L2
+        return [c for sb, pb, c in entries if not (sb & banned or forced & ~pb)]
 
 
 def _labeling_ok(g: Graph, l: Labeling, opts: SearchOptions) -> bool:
@@ -647,7 +647,7 @@ class _DMSearch(_QuotientSearch):
 
     def _snapshot(self) -> LabelGraph:
         labs = self.labs
-        edges = [(labs[p], labs[q]) for p, (_, picks) in enumerate(self.chosen) for q, _ in picks]
+        edges = [(labs[p], labs[q]) for p, c in enumerate(self.chosen) for q, _ in c[1]]
         return LabelGraph(self.n, edges)
 
 

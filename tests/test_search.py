@@ -45,7 +45,6 @@ from magiclab.search import (
     _PlacementSearch,
     _PickBuckets,
     _QuotientSearch,
-    _pick,
     _verify_emission,
 )
 
@@ -228,9 +227,12 @@ class TestEnumerateDm:
 
 @st.composite
 def chooser_inputs(draw):
-    """Candidate lists shaped like the searches': magnitudes never increase
-    (the all-labelings search has ties, x before -x), an optional trailing 0
-    for the central vertex, and wants whose targets are often reachable."""
+    """A position's later candidates shaped like the searches': magnitudes
+    never increase (the all-labelings search has ties, x before -x), an
+    optional trailing 0 for the central vertex; the signs the look-ahead
+    allows each and whether it may be left out; and the position's own
+    label and state (cap, b, semi_slots), whose two buckets' targets are
+    often reachable."""
     mags = sorted(draw(st.lists(st.integers(1, 12), max_size=7)), reverse=True)
     vals = [draw(st.sampled_from((1, -1))) * x for x in mags]
     if draw(st.booleans()):
@@ -238,15 +240,16 @@ def chooser_inputs(draw):
     k = len(vals)
     signs = [draw(st.sampled_from([(1,), (-1,), (1, -1)])) for _ in range(k)]
     skips = [draw(st.booleans()) for _ in range(k)]
-    wants = []
-    for tag in range(draw(st.integers(0, 3))):
+
+    def reachable():
         taken = [draw(st.sampled_from((0,) + signs[ci])) for ci in range(k)]
-        reachable = sum(sig * x for sig, x in zip(taken, vals))
-        target = reachable + draw(st.sampled_from((0, 0, 1, -2)))
-        need = draw(st.one_of(st.just(sum(map(bool, taken))), st.integers(-1, k + 1)))
-        wants.append((tag, need, target))
-    cand = [3 * ci + 1 for ci in range(k)]
-    return cand, vals, signs, skips, wants
+        target = sum(sig * x for sig, x in zip(taken, vals)) + draw(st.sampled_from((0, 0, 1, -2)))
+        return sum(map(bool, taken)), target
+
+    (c0, t0), (c1, t1) = reachable(), reachable()
+    cap = draw(st.one_of(st.just(c0), st.just(c1 + 1), st.integers(0, 4)))
+    b = -t0  # cap edges balancing b hit t0, a semiedge and cap - 1 edges t1
+    return vals, signs, skips, t1 + b, cap, b, draw(st.sampled_from((1, 5)))
 
 
 def brute_force_choices(cand, vals, signs, skips, wants):
@@ -273,25 +276,35 @@ def brute_force_choices(cand, vals, signs, skips, wants):
 
 
 class TestSubsetChoices:
-    """The pick buckets hold every signed subset; filtering one by the sign
-    and must-pick masks gives exactly the walk over the allowed decisions."""
+    """A position's entries at its state are those of two of its pick
+    buckets; filtering them by the sign and must-pick masks of the scan
+    gives exactly the walk over the allowed decisions, and each choice
+    carries the state deltas its picks add."""
 
     @settings(max_examples=400, deadline=None)
     @given(chooser_inputs())
     def test_matches_brute_force(self, inputs):
-        cand, vals, signs, skips, wants = inputs
-        k = len(cand)
-        buckets = _PickBuckets([(q, x, (1, -1)) for q, x in zip(cand, vals)], k)
-        allowed = forced = 0
-        for ci, (sig, skip) in enumerate(zip(signs, skips)):
-            allowed |= (1 in sig) << ci | (-1 in sig) << ci + k
-            forced |= (not skip) << ci
-        got = []
-        for tag, need, target in wants:  # the searches' tags are 0 and 1 only
-            for t, picks in _pick(buckets, allowed, forced, [(tag % 2, need, target)]):
-                assert t == tag % 2
-                got.append((tag, picks))
-        assert got == brute_force_choices(*inputs)
+        vals, signs, skips, lab, cap, b, semi_slots = inputs
+        k, B = len(vals), 1000
+        W = 2 * B + 1
+        # position 0 of a search whose k later positions all sit at state
+        # 0, where each one's row holds its verdict
+        qs = object.__new__(_QuotientSearch)
+        qs.labs, qs.B, qs.W, qs.L2, qs.semi_slots = [lab, *vals], B, W, 2 * k, semi_slots
+        qs.st = [cap * W + b + B] + [0] * k
+        qs.rows = [[
+            [(1 in sig) << j | (-1 in sig) << j + k | (not skip) << j + 2 * k]
+            for j, (sig, skip) in enumerate(zip(signs, skips))
+        ]]
+        qs.buckets = [_PickBuckets([(q, x, (1, -1)) for q, x in enumerate(vals, 1)], k)]
+        qs.entries = [{}]
+        got = qs._choices(0)
+        assert qs._choices(0) == got and list(qs.entries[0]) == [qs.st[0]]
+        wants = [(0, cap, -b), (1, cap - semi_slots, lab - b)]
+        want = brute_force_choices(range(1, k + 1), vals, signs, skips, wants)
+        assert [(semi, picks) for semi, picks, _ in got] == want
+        for _, picks, deltas in got:
+            assert deltas == tuple((q, sig * lab - W) for q, sig in picks)
 
 
 class TestLookAheadRows:
@@ -389,6 +402,18 @@ class TestSearchWork:
         buckets = quotient_search(n)[0].buckets
         built = sum(map(len, buckets)), sum(len(e) for b in buckets for e in b.values())
         assert built == self.PICK_BUCKETS[n]
+
+    # (states keyed, entries at them) by the searches above: a position's
+    # entries at a state are built on the first node there; its states are
+    # ints below 5 * W
+    STATE_ENTRIES = {20: (112, 609), 21: (126, 784)}
+
+    @pytest.mark.parametrize("n", sorted(STATE_ENTRIES))
+    def test_state_entries_built(self, n):
+        qs = quotient_search(n)[0]
+        assert all(set(table) <= set(range(5 * qs.W)) for table in qs.entries)
+        built = sum(map(len, qs.entries)), sum(len(e) for t in qs.entries for e in t.values())
+        assert built == self.STATE_ENTRIES[n]
 
     # (report row, full canonical-form searches) of classifications run with
     # an empty certificate memo: one search per isomorphism class, the other
