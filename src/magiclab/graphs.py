@@ -30,6 +30,7 @@ at worst lose one.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
@@ -214,6 +215,18 @@ def _twin_classes(g: Graph) -> list[list[int]]:
     for v in range(g.n):
         groups.setdefault(g.neighbors[v], []).append(v)
     return sorted(groups.values(), key=lambda c: c[0])
+
+
+def _is_wreath(g: Graph) -> bool:
+    """Whether the connected tetravalent graph g is a wreath graph.
+
+    That holds exactly when every vertex has an open twin.  Twins are never
+    adjacent, and twin classes are joined completely or not at all.  A class
+    of 4 forces K4,4 = wreath(4) and a class of 3 cannot occur; when every
+    class has 2 vertices, the class graph is connected and 2-regular, a
+    cycle C_m, so g is wreath(m).  So each order has at most one such graph.
+    """
+    return g.n >= 6 and min(Counter(g.neighbors).values()) > 1
 
 
 def _reduce_twins(g: Graph):

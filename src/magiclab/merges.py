@@ -21,13 +21,12 @@ cyclet, and every later step merges at the newest block.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .families import wreath, wreath_natural_labeling, wreath_nondegenerate_labeling
-from .graphs import Graph
+from .graphs import Graph, _is_wreath
 from .labelings import (
     Labeling,
     is_alternating,
@@ -271,18 +270,6 @@ def _extensible_edge(q: QuotientGraph) -> Optional[tuple[int, int]]:
         if color == SOLID and a > 0 and b - a == 4 and a in q.semiedges and b in q.semiedges:
             return a, b
     return None
-
-
-def _is_wreath(g: Graph) -> bool:
-    """Whether the connected tetravalent graph g is a wreath graph.
-
-    That holds exactly when every vertex has an open twin, a vertex with the
-    same neighbour set.  Twins are never adjacent, and twin classes are
-    joined completely or not at all.  A class of 4 forces K4,4 = wreath(4)
-    and a class of 3 cannot occur; when every class has 2 vertices, the
-    class graph is connected and 2-regular, a cycle C_m, so g is wreath(m).
-    """
-    return g.n >= 6 and min(Counter(g.neighbors).values()) > 1
 
 
 @lru_cache(maxsize=len(BASE_ORDERS))

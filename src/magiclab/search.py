@@ -5,7 +5,9 @@ decide its semiedge flag and colored edges while maintaining exact signed
 balance and degree caps, then lift and keep the connected covers.  Simple
 quotients correspond one-to-one with non-degenerate self-reverse labeling
 classes, so no isomorphism tests are needed for the labeling counts;
-canonical codes are used only to count the underlying graphs.
+canonical codes are used only to count the underlying graphs, and a
+connected graph with a twin at every vertex, a wreath graph, reuses its
+order's one code.
 
 One engine, _Backtracker, drives all four searches: the quotient search, the
 all-labelings search of small orders, and on a fixed graph the search per
@@ -29,8 +31,9 @@ the search's deadline.
 
 Degenerate self-reverse classes exist only on wreath graphs (a vertex
 adjacent to a full pair forces twin pairs everywhere), where every circular
-magnitude arrangement is distance magic; they are generated in closed form
-when non-degeneracy is not required.
+magnitude arrangement is distance magic; they are generated in closed form,
+as (Graph, Labeling) pairs on one shared labeling, when non-degeneracy is
+not required.
 """
 
 from __future__ import annotations
@@ -511,30 +514,28 @@ def _verify_emission(g: Graph, l: Labeling, opts: SearchOptions) -> bool:
     return _labeling_ok(g, l, opts)
 
 
-def _degenerate_wreath_label_graphs(n: int) -> Iterator[LabelGraph]:
-    """All degenerate self-reverse label graphs of order n, in closed form.
+def _degenerate_wreath_pairs(n: int) -> Iterator[tuple[Graph, Labeling]]:
+    """All degenerate self-reverse classes of order n, in closed form.
 
     These exist only on wreath graphs, where consecutive positions carry a
     full four-edge block between label pairs and every vertex's neighbor sum
     vanishes identically, so each class is exactly a circular magnitude
     sequence up to rotation and reflection.  The largest magnitude is pinned
-    first; reflections are killed by ordering its two ring neighbors.
+    first; reflections are killed by ordering its two ring neighbors.  As in
+    LabelGraph.to_graph, vertex (lab + n - 1) // 2 carries label lab, so all
+    pairs share one labeling.
     """
     if n % 2 or n < 6:
         return
     m = n // 2
-    mags = [2 * i + 1 for i in range(m)]
-    first = mags[-1]
-    rest = mags[:-1]
-    for perm in permutations(rest):
+    blocks = [(m + i, m - 1 - i) for i in range(m)]  # the vertices of ±(2i + 1)
+    labeling = Labeling(label_set(n))
+    for perm in permutations(blocks[:-1]):
         if perm[0] > perm[-1]:
             continue
-        ring = (first,) + perm
-        edges = []
-        for i in range(m):
-            a, b = ring[i], ring[(i + 1) % m]
-            edges += [(a, b), (a, -b), (-a, b), (-a, -b)]
-        yield LabelGraph(n, edges)
+        ring = (blocks[-1],) + perm
+        edges = [(u, v) for x, y in zip(ring, ring[1:] + ring[:1]) for u in x for v in y]
+        yield Graph(n, edges), labeling
 
 
 def _sr_candidates(
@@ -552,12 +553,12 @@ def _sr_candidates(
         raise SearchError(
             f"degenerate class generation is factorial in n/2; capped at order "
             f"{DEGENERATE_CLOSED_FORM_CAP} (got {n}); set require_nondegenerate "
-            f"for larger orders"
+            f"(--nondegenerate on the command line) for larger orders"
         )
     stream = map(lift, _QuotientSearch(n, deadline).run())
     if opts.require_nondegenerate:
         return stream
-    return chain(stream, (lg.to_graph() for lg in _degenerate_wreath_label_graphs(n)))
+    return chain(stream, _degenerate_wreath_pairs(n))
 
 
 def iter_sr_pairs(
@@ -583,13 +584,17 @@ def _collect(
     start: Optional[float] = None,
 ) -> tuple[list[tuple[Graph, Labeling]], EnumerationReport]:
     """The verified pairs of a stream that never repeats a label graph,
-    sorted by label-graph encoding, plus the report counting their graphs.
-    Once the deadline passes, verifying and classifying stop: the pairs
-    found so far are kept and the report is marked incomplete.  The
-    report's elapsed time runs from start, by default from this call."""
+    sorted by label-graph encoding, plus the report counting their graphs
+    by canonical code.  When the pairs are verified connected, every graph
+    with a twin at each vertex is the order's one wreath graph and takes the
+    code computed for the first of them.  Once the deadline passes,
+    verifying and classifying stop: the pairs found so far are kept and the
+    report is marked incomplete.  The report's elapsed time runs from start,
+    by default from this call."""
     start = time.monotonic() if start is None else start
     pairs = []
     vt: dict[bytes, bool] = {}  # canonical code -> vertex-transitive
+    wreath_code = None
     complete = True
     try:
         for g, l in stream:
@@ -598,7 +603,10 @@ def _collect(
                 pairs.append((g, l))
         for g, _ in pairs:
             _check_deadline(deadline)
-            code = canonical_code(g)
+            if opts.require_connected and _graphs._is_wreath(g):
+                code = wreath_code = wreath_code or canonical_code(g)
+            else:
+                code = canonical_code(g)
             if code not in vt:
                 _check_deadline(deadline)
                 vt[code] = is_vertex_transitive(g)

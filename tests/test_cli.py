@@ -271,6 +271,7 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--order", "22")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "require_nondegenerate" in err
+        assert "--nondegenerate" in err
         assert time.monotonic() - start < 1.0
 
     def test_all_dm(self, capsys):

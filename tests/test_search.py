@@ -393,6 +393,26 @@ class TestSearchWork:
             157356, 57, "1a9e5cccb29a43500d145815ab016cba12fb4b6e6a54c2c85775370c8126b82f"
         )
 
+    def test_sr_stream_order_16(self):
+        # sha256 over label_graph_to_json of each pair, one per line, in
+        # stream order: the 48 lifts, then the 2,520 closed-form classes
+        h = hashlib.sha256()
+        count = 0
+        for g, l in iter_sr_pairs(16, SR):
+            h.update(label_graph_to_json(label_graph(g, l)).encode() + b"\n")
+            count += 1
+        assert (count, h.hexdigest()) == (
+            2568, "fb619ed1eb77d3664957b3dcb14fe4750836ae44085a1b5272551aa3857d5fdc"
+        )
+
+    @pytest.mark.parametrize("n, opts", [(14, SR), (16, SR), (18, ND)])
+    def test_report_counts_every_code(self, n, opts):
+        # the report reuses one code per wreath order; counting a code per
+        # pair must give the same row
+        pairs, rep = enumerate_sr(n, opts)
+        vt = {canonical_code(g): graphs.is_vertex_transitive(g) for g, _ in pairs}
+        assert (rep.iso_class_count, rep.vt_count) == (len(vt), sum(vt.values()))
+
     # (buckets built, entries in them) by the searches above: each bucket
     # is built once, on the first node that asks for it
     PICK_BUCKETS = {20: (183, 545), 21: (205, 705)}
@@ -938,7 +958,9 @@ class TestTimeLimit:
 
     def test_deadline_covers_classification(self, monkeypatch):
         # the fake clock stands still during the search and advances 1 s per
-        # canonical code, so the 2.5 s limit runs out while classifying
+        # canonical code, so the 2.5 s limit runs out while classifying; the
+        # 136 order-18 classes lie on two graphs, neither a wreath graph, so
+        # every pair computes its own code
         clock = [100.0]
         starts = []
 
@@ -949,9 +971,9 @@ class TestTimeLimit:
 
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
         monkeypatch.setattr(search, "canonical_code", slow_canonical_code)
-        pairs, rep = enumerate_sr(16, SearchOptions(require_nondegenerate=True, time_limit=2.5))
+        pairs, rep = enumerate_sr(18, SearchOptions(require_nondegenerate=True, time_limit=2.5))
         assert not rep.complete
-        assert len(pairs) == rep.sr_count == 48
+        assert len(pairs) == rep.sr_count == 136
         assert starts and max(starts) <= 102.5
         assert len(starts) < len(pairs)
 
@@ -1074,13 +1096,18 @@ class TestSpecInvariants:
 
     def test_connectivity_flag(self):
         kept, _ = enumerate_sr(16, SearchOptions(require_nondegenerate=True))
-        loose, _ = enumerate_sr(
+        loose, loose_rep = enumerate_sr(
             16,
             SearchOptions(require_nondegenerate=True, require_connected=False),
         )
         assert len(loose) > len(kept)
         assert any(not g.is_connected() for g, _ in loose)
         assert all(g.is_connected() for g, _ in kept)
+        # some disconnected covers have a twin at every vertex, yet are no
+        # wreath graph: each must still be classified by its own code
+        _, all_rep = enumerate_sr(16, SearchOptions(require_connected=False))
+        for rep, row in ((loose_rep, (66, 2, 2)), (all_rep, (2586, 2, 2))):
+            assert (rep.sr_count, rep.iso_class_count, rep.vt_count) == row
 
     def test_counts_follow_existence_theorem(self):
         # nondegenerate classes exist exactly at 8, 16, 18 within 5..18
