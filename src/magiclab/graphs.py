@@ -51,12 +51,12 @@ class GraphError(ValueError):
 class Graph:
     """Finite simple undirected graph.
 
-    Vertices are 0..n-1; adjacency is stored as sorted, duplicate-free
-    neighbor tuples.  Instances are immutable and hashable (labeled
-    equality, not isomorphism).
+    Vertices are 0..n-1; adjacency is held once, as sorted, duplicate-free
+    neighbor tuples that every query reads.  Instances are immutable and
+    hashable; equality and hash use the neighbor tuples (labeled equality).
     """
 
-    __slots__ = ("n", "neighbors", "_edgeset", "_hash")
+    __slots__ = ("n", "neighbors", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
@@ -72,10 +72,7 @@ class Graph:
             nbrs[v].add(u)
         self.n = n
         self.neighbors = tuple(tuple(sorted(s)) for s in nbrs)
-        self._edgeset = frozenset(
-            (u, v) for u in range(n) for v in self.neighbors[u] if u < v
-        )
-        self._hash = hash((n, self._edgeset))
+        self._hash = hash(self.neighbors)
 
     # -- basic queries ----------------------------------------------------
 
@@ -83,15 +80,16 @@ class Graph:
         return len(self.neighbors[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edgeset if u < v else (v, u) in self._edgeset
+        # the range guard keeps a negative u from indexing from the end
+        return 0 <= u < self.n and v in self.neighbors[u]
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as (u, v) with u < v, sorted lexicographically."""
-        return sorted(self._edgeset)
+        return [(u, v) for u, nb in enumerate(self.neighbors) for v in nb if u < v]
 
     @property
     def edge_count(self) -> int:
-        return len(self._edgeset)
+        return sum(map(len, self.neighbors)) // 2
 
     def is_regular(self, k: int) -> bool:
         return all(len(nb) == k for nb in self.neighbors)
@@ -119,17 +117,13 @@ class Graph:
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._edgeset == other._edgeset
-        )
+        return isinstance(other, Graph) and self.neighbors == other.neighbors
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={len(self._edgeset)})"
+        return f"Graph(n={self.n}, edges={self.edge_count})"
 
     def __setattr__(self, name, value):
         if hasattr(self, "_hash"):
@@ -157,6 +151,8 @@ def connected_components(g: Graph) -> list[list[int]]:
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     """Subgraph induced on `vertices`, reindexed by their sorted order."""
     vs = sorted(vertices)
+    if len(set(vs)) != len(vs) or (vs and not 0 <= vs[0] <= vs[-1] < g.n):
+        raise GraphError(f"induced subgraph vertices must be distinct, in 0..{g.n - 1}")
     index = {v: i for i, v in enumerate(vs)}
     edges = [
         (index[u], index[v])

@@ -143,10 +143,11 @@ def is_self_reverse(g: Graph, l: Labeling) -> bool:
     """
     _check_same_order(g, l)
     part = [l.partner(v) for v in range(g.n)]
+    nbrs = g.neighbors
     for u in range(g.n):
-        pu = part[u]
-        for v in g.neighbors[u]:
-            if not g.has_edge(pu, part[v]):
+        image = nbrs[part[u]]
+        for v in nbrs[u]:
+            if part[v] not in image:
                 return False
     return True
 
@@ -165,7 +166,7 @@ def pairing_is_degenerate(g: Graph, part: Sequence[int]) -> bool:
             continue
         for v in g.neighbors[u]:
             pv = part[v]
-            if pv != v and pv != u and g.has_edge(u, pv):
+            if pv != v and pv != u and pv in g.neighbors[u]:
                 return True
     return False
 

@@ -19,12 +19,12 @@ search: the all-labelings search is the quotient search over every label,
 with edges of sign +1 and no semiedge.  It keeps each position's open slots
 and partial balance in one int and tabulates the look-ahead per pair of
 positions when it starts, so its chooser reads one list entry per later
-position.  Per position, the first node at each state int looks up its
-entries in the pick buckets (the signed subsets of the later positions by
-size and sum) and keeps them under that int, so a node's choices are one dict
-lookup filtered by the masks of the signs its look-ahead allows and the picks
-it forces.  The fixed-graph searches test their candidates in place.  The
-searches run in the calling thread; emission order is deterministic.  Both
+position.  Per position, the first node at each state int walks the signed
+subsets of the later positions that balance it and keeps them under that
+int, so a node's choices are one dict lookup filtered by the masks of the
+signs its look-ahead allows and the picks it forces.  The fixed-graph
+searches test their candidates in place.  The searches run in the calling
+thread; emission order is deterministic.  Both
 enumerators pass their pairs, lifted from quotients by quotients.lift or
 unfolded from label graphs, through one verify, sort and classify step under
 the search's deadline.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain, permutations
+from itertools import accumulate, chain, permutations
 from typing import Iterator, Optional
 
 from . import graphs as _graphs
@@ -173,8 +173,10 @@ def _bound_table(mags: list[int]) -> list[list[list[int]]]:
 def _walk(out, picks, recs, pre, start, need, target):
     """Append picks + more for every way to pick need more candidates from
     recs[start:] that hits target, taking each with its signs before leaving
-    it out.  The caller has checked that need >= 1 and |target| <=
-    pre[start + need] - pre[start]."""
+    it out.  recs holds records (candidate, value, signs), |value|
+    non-increasing, and pre[ci] sums |value| over recs[:ci], which bounds
+    where the walk descends.  The caller has checked that need >= 1 and
+    |target| <= pre[start + need] - pre[start]."""
     for ci in range(start, len(recs) - need + 1):
         if abs(target) > pre[ci + need] - pre[ci]:
             return
@@ -187,49 +189,6 @@ def _walk(out, picks, recs, pre, start, need, target):
                     out.append((*picks, (q, sig)))
                 else:
                     _walk(out, (*picks, (q, sig)), recs, pre, ci + 1, need - 1, rest)
-
-
-class _PickBuckets(dict):
-    """The pick buckets of one position, built on first use.
-
-    recs holds one record (candidate, value, signs) per later position, the
-    j-th of them owning bit j (sign +1) and bit j + L (sign -1) of a sign
-    mask and bit j of a position mask.  The bucket at (need, target) lists
-    every way to pick need candidates, each with one of its signs, whose
-    signed values sum to target, as entries (sign bits, position bits,
-    picks), picks being ((candidate, sign), ...).  Entries are in
-    depth-first order: candidates in list order, each taken with its
-    signs in order before it is left out.  Values must be non-increasing in
-    magnitude, so the next need magnitudes bound what need picks can reach
-    and _walk descends only where they can."""
-
-    __slots__ = ("recs", "pre", "L")
-
-    def __init__(self, recs: list[tuple[int, int, tuple]], L: int):
-        super().__init__()
-        self.recs, self.L = recs, L
-        self.pre = [0]  # sum of |values[:ci]|
-        for _, x, _ in recs:
-            self.pre.append(self.pre[-1] + abs(x))
-
-    def __missing__(self, key: tuple[int, int]) -> list:
-        need, target = key
-        found: list[tuple] = []
-        if need == 0:
-            if target == 0:
-                found.append(())
-        elif need <= len(self.recs) and abs(target) <= self.pre[need]:
-            _walk(found, (), self.recs, self.pre, 0, need, target)
-        bit = {q: j for j, (q, _, _) in enumerate(self.recs)}
-        bucket = self[key] = [
-            (
-                sum(1 << (bit[q] if sig > 0 else bit[q] + self.L) for q, sig in picks),
-                sum(1 << bit[q] for q, _ in picks),
-                picks,
-            )
-            for picks in found
-        ]
-        return bucket
 
 
 class _Backtracker:
@@ -382,22 +341,22 @@ class _QuotientSearch(_Backtracker):
 
     A node's scan ORs one row entry per later position into a mask; the
     choices for p are p's entries at state st[p] whose signs the mask allows
-    and whose positions cover the forced ones.  entries[p][s], built on the
-    first node at state s (at most 5 * W states), holds the entries of two
-    of p's pick buckets, cap edges balancing b, then a semiedge and cap - 1
-    edges, with the choice (semiedge flag, picks, the (q, sig * a - W)
-    _apply adds to st[q]).  The buckets (_PickBuckets), the signed subsets
-    of the later positions by size and sum, are built by the subset walk
-    when first asked for: 287 (0.7 MB) at n = 24, about 460 at n = 30.
+    and whose positions cover the forced ones.  entries[p][s], built by
+    _entries on the first node at state s (at most 5 * W states), holds
+    every signed subset of the later positions that balances it: cap edges
+    balancing b, then a semiedge and cap - 1 edges.  Each comes from one
+    subset walk over walks[p], the records (q, label, signs) of the later
+    positions with the prefix sums of their magnitudes.  It is the only
+    memo, so a (size, sum) pair reached from two states is walked twice.
 
     _setup takes the positions, the edge signs and whether there are
     semiedges and a central vertex, so the same search runs _DMSearch.
     Without semiedges the rows hold no semiedge intervals, and the
-    semiedge bucket needs more edges than a vertex has.
+    semiedge walk needs more edges than a vertex has.
     """
 
     __slots__ = (
-        "n", "labs", "central", "st", "W", "B", "L2", "semi_slots", "chosen", "rows", "buckets",
+        "n", "labs", "central", "st", "W", "B", "L2", "semi_slots", "chosen", "rows", "walks",
         "entries",
     )
 
@@ -422,7 +381,7 @@ class _QuotientSearch(_Backtracker):
         self.chosen: list[tuple] = [(0, (), ())] * m  # the choice applied per position
         bounds = _bound_table([abs(x) for x in labs])
         self.rows = []
-        self.buckets = []
+        self.walks = []
         for p, a in enumerate(labs):
             rows_p = [
                 _look_ahead_row(q - p - 1, L, a, labs[q], bounds[p][q], B, signs, semiedge)
@@ -439,7 +398,7 @@ class _QuotientSearch(_Backtracker):
                 rows_p.append(row)
                 recs.append((m, 0, (1,)))
             self.rows.append(rows_p)
-            self.buckets.append(_PickBuckets(recs, L))
+            self.walks.append((recs, [*accumulate((abs(x) for _, x, _ in recs), initial=0)]))
         self.entries: list[dict[int, list]] = [{} for _ in range(m)]
 
     def _snapshot(self) -> QuotientGraph:
@@ -464,13 +423,24 @@ class _QuotientSearch(_Backtracker):
             st[q] -= d
 
     def _entries(self, p: int) -> list[tuple[int, int, tuple]]:
-        """Build entries[p][st[p]], position p's entries at its state."""
-        s, W, a = self.st[p], self.W, self.labs[p]
+        """Build entries[p][st[p]]: (sign bits, position bits, choice) per
+        balancing subset, with the rows' bits (bit q - p - 1, or + L for sign
+        -1) and choice (semiedge flag, picks, the (q, sig * a - W) _apply
+        adds to st[q]), in _walk's order, edges-only ones first."""
+        s, W, a, L = self.st[p], self.W, self.labs[p], self.L2 // 2
         cap, b = divmod(s, W)
         b -= self.B
+        recs, pre = self.walks[p]
         out = self.entries[p][s] = []
         for semi, need, target in ((0, cap, -b), (1, cap - self.semi_slots, a - b)):
-            for sb, pb, picks in self.buckets[p][need, target] if need >= 0 else ():
+            found: list[tuple] = []
+            if need == target == 0:
+                found.append(())
+            elif 0 < need <= len(recs) and abs(target) <= pre[need]:
+                _walk(found, (), recs, pre, 0, need, target)
+            for picks in found:
+                sb = sum(1 << q - p - 1 + (sig < 0) * L for q, sig in picks)
+                pb = sum(1 << q - p - 1 for q, _ in picks)
                 out.append((sb, pb, (semi, picks, tuple((q, sig * a - W) for q, sig in picks))))
         return out
 

@@ -99,6 +99,24 @@ class TestConstruction:
     def test_wreath4_is_k44(self):
         assert are_isomorphic(wreath(4), k44())
 
+    def test_equal_edges_equal_graphs(self):
+        # labeled value semantics: the same edge set, in any order and with
+        # duplicates, is one value, hash and dict key
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        h = Graph(4, [(3, 2), (0, 1), (2, 1), (1, 0)])
+        assert g == h and hash(g) == hash(h)
+        assert len({g: 1, h: 2}) == 1
+
+    def test_unequal_graphs(self):
+        assert Graph(2, []) != Graph(3, [])
+        g, h = Graph(4, [(0, 1), (2, 3)]), Graph(4, [(0, 2), (1, 3)])
+        assert (g.n, g.edge_count) == (h.n, h.edge_count) and g != h
+
+    def test_edges_sorted_and_normalised(self):
+        raw = [(3, 1), (0, 2), (2, 0), (1, 0), (3, 2), (1, 3)]
+        g = Graph(4, raw)
+        assert g.edges() == sorted({(min(e), max(e)) for e in raw})
+
     def test_json_round_trip(self):
         g = wreath(5)
         assert graph_from_json(graph_to_json(g)) == g
@@ -137,6 +155,18 @@ class TestBasicQueries:
         assert len(comps) == 2
         sub = induced_subgraph(direct_cycles(4, 4), comps[0])
         assert sub.is_connected() and sub.is_regular(4)
+
+    @pytest.mark.parametrize("vertices", [[0, 0, 1], [-1, 0], [0, 6]])
+    def test_induced_subgraph_checks_vertices(self, vertices):
+        # a repeated vertex gave a spurious isolated vertex, and -1 read
+        # vertex 5's neighbors
+        with pytest.raises(GraphError):
+            induced_subgraph(wreath(3), vertices)
+
+    def test_has_edge_out_of_range(self):
+        g = wreath(3)
+        assert g.has_edge(5, 0)
+        assert not g.has_edge(-1, 0) and not g.has_edge(0, 6) and not g.has_edge(6, 0)
 
 
 class TestCanonicalForm:

@@ -293,6 +293,12 @@ class TestBipartitionAndLinks:
         with pytest.raises(LabelingError):
             is_link(g, l, (0, 2))
 
+    def test_link_needs_an_edge_in_range(self):
+        # vertex -1 must not wrap to vertex 5, a neighbor of 0
+        g, l = wreath(3), wreath_natural_labeling(3)
+        with pytest.raises(LabelingError):
+            is_link(g, l, (-1, 0))
+
     def test_zero_counts_nonnegative(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (0, 2), (2, 4)])
         l = Labeling([0, -2, 2, -4, 4])

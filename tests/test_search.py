@@ -43,7 +43,6 @@ from magiclab.search import (
     _involutions_with_pairing,
     _InvolutionSearch,
     _PlacementSearch,
-    _PickBuckets,
     _QuotientSearch,
     _verify_emission,
 )
@@ -276,8 +275,8 @@ def brute_force_choices(cand, vals, signs, skips, wants):
 
 
 class TestSubsetChoices:
-    """A position's entries at its state are those of two of its pick
-    buckets; filtering them by the sign and must-pick masks of the scan
+    """A position's entries at its state are the balancing subsets of two
+    subset walks; filtering them by the sign and must-pick masks of the scan
     gives exactly the walk over the allowed decisions, and each choice
     carries the state deltas its picks add."""
 
@@ -296,7 +295,8 @@ class TestSubsetChoices:
             [(1 in sig) << j | (-1 in sig) << j + k | (not skip) << j + 2 * k]
             for j, (sig, skip) in enumerate(zip(signs, skips))
         ]]
-        qs.buckets = [_PickBuckets([(q, x, (1, -1)) for q, x in enumerate(vals, 1)], k)]
+        recs = [(q, x, (1, -1)) for q, x in enumerate(vals, 1)]
+        qs.walks = [(recs, [sum(map(abs, vals[:ci])) for ci in range(k + 1)])]
         qs.entries = [{}]
         got = qs._choices(0)
         assert qs._choices(0) == got and list(qs.entries[0]) == [qs.st[0]]
@@ -371,7 +371,7 @@ class TestLookAheadRows:
 
 class TestSearchWork:
     """Node counts and raw emission streams of the two searches sharing
-    the subset walk, pinned before it became the pick buckets' builder: a
+    the subset walk, pinned before the walk's results were memoized: a
     cheaper chooser must keep the search tree and every raw emission in
     order."""
 
@@ -412,16 +412,6 @@ class TestSearchWork:
         pairs, rep = enumerate_sr(n, opts)
         vt = {canonical_code(g): graphs.is_vertex_transitive(g) for g, _ in pairs}
         assert (rep.iso_class_count, rep.vt_count) == (len(vt), sum(vt.values()))
-
-    # (buckets built, entries in them) by the searches above: each bucket
-    # is built once, on the first node that asks for it
-    PICK_BUCKETS = {20: (183, 545), 21: (205, 705)}
-
-    @pytest.mark.parametrize("n", sorted(PICK_BUCKETS))
-    def test_pick_buckets_built(self, n):
-        buckets = quotient_search(n)[0].buckets
-        built = sum(map(len, buckets)), sum(len(e) for b in buckets for e in b.values())
-        assert built == self.PICK_BUCKETS[n]
 
     # (states keyed, entries at them) by the searches above: a position's
     # entries at a state are built on the first node there; its states are
