@@ -77,6 +77,8 @@ class Graph:
     # -- basic queries ----------------------------------------------------
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
         return len(self.neighbors[v])
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -104,6 +106,8 @@ class Graph:
         return len(self.component_of(0)) == self.n
 
     def component_of(self, v: int) -> list[int]:
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
         seen = {v}
         stack = [v]
         while stack:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -241,6 +242,24 @@ def pairing_kernel(g: Graph, part: Sequence[int]) -> Optional[list[tuple[int, ..
     return rows
 
 
+@lru_cache(maxsize=128)
+def _ascending_labeling(n: int) -> Labeling:
+    """The ascending-label numbering of order n, built once: vertex v
+    carries the v-th smallest label.  Labeling is immutable, so every pair
+    on the numbering shares this one."""
+    return Labeling(label_set(n))
+
+
+def _ascending_pair(n: int, label_edges: Iterable[Sequence[int]]) -> tuple[Graph, Labeling]:
+    """The (Graph, Labeling) with an edge per label edge, on the
+    ascending-label numbering.  The labels must lie in label_set(n):
+    LabelGraph and quotients.lift check theirs, and the all-labelings search
+    draws its own from it."""
+    l = _ascending_labeling(n)
+    pos = l._pos
+    return Graph(n, [(pos[a], pos[b]) for a, b in label_edges]), l
+
+
 class LabelGraph:
     """Graph whose vertex set is the label set itself.
 
@@ -270,10 +289,7 @@ class LabelGraph:
 
     def to_graph(self) -> tuple[Graph, Labeling]:
         """Concrete (Graph, Labeling) on ascending-label vertex order."""
-        labs = label_set(self.n)
-        index = {lab: i for i, lab in enumerate(labs)}
-        g = Graph(self.n, [(index[a], index[b]) for a, b in self.edges])
-        return g, Labeling(labs)
+        return _ascending_pair(self.n, self.edges)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LabelGraph) and self._key == other._key

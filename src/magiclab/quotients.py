@@ -7,9 +7,10 @@ pair adjacent within itself gets a semiedge; for odd order the vertex labeled
 0 keeps one solid edge to each of its two neighbor pairs.  The original
 graph is the two-fold cover obtained by reading solid edges as voltage 0 and
 dashed edges (and semiedges) as voltage 1, so `lift` inverts `quotient`
-exactly, up to the fixed ascending-label vertex order.  `lift` is the one
-place a quotient is unfolded: the self-reverse enumerator searches quotients
-and lifts each one it finds through it.
+exactly, up to the fixed ascending-label vertex order, on which vertex v
+carries the v-th smallest label.  `lift` is the one place a quotient is
+unfolded, and it validates the quotient first: the self-reverse enumerator
+searches quotients and lifts each one it finds through it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph
 from .labelings import (
-    LabelGraph,
     Labeling,
+    _ascending_pair,
     is_degenerate,
     is_distance_magic,
     is_self_reverse,
@@ -193,10 +194,7 @@ def quotient(g: Graph, l: Labeling) -> QuotientGraph:
         if lu == -lv:
             semiedges.add(abs(lu))
             continue
-        if lu == 0 or lv == 0:
-            edges.add((0, max(abs(lu), abs(lv)), SOLID))
-            continue
-        color = SOLID if (lu > 0) == (lv > 0) else DASHED
+        color = SOLID if lu * lv >= 0 else DASHED  # an edge at 0 is solid
         a, b = abs(lu), abs(lv)
         edges.add((min(a, b), max(a, b), color))
     q = QuotientGraph(g.n, edges, semiedges, central=(g.n % 2 == 1))
@@ -207,22 +205,19 @@ def quotient(g: Graph, l: Labeling) -> QuotientGraph:
 def lift(q: QuotientGraph) -> tuple[Graph, Labeling]:
     """Two-fold cover of a valid quotient, with its labeling.
 
-    Solid edges lift to same-sign pairs, dashed to cross-sign pairs, a
-    semiedge at a to the edge {+a, -a}, and each central edge {0, a} to both
-    {0, +a} and {0, -a}; LabelGraph.to_graph numbers the vertices in
-    ascending label order.  The result is distance magic and self-reverse by
-    construction; connectivity is not implied and must be checked separately.
+    Solid edges lift to same-sign pairs, dashed to cross-sign pairs, and a
+    semiedge at a to the edge {+a, -a}; a central edge {0, a} is solid and,
+    as -0 = 0, lifts to {0, +a} and {0, -a}.  The vertices are numbered in
+    ascending label order, so every lift of order n shares one Labeling.
+    The result is distance magic and self-reverse by construction;
+    connectivity is not implied and must be checked separately.
     """
     q.validate()
     edges = [(s, -s) for s in q.semiedges]
     for a, b, color in q.edges:
-        if a == 0:
-            edges += [(0, b), (0, -b)]
-        elif color == SOLID:
-            edges += [(a, b), (-a, -b)]
-        else:
-            edges += [(a, -b), (-a, b)]
-    return LabelGraph(q.n, edges).to_graph()
+        sig = 1 if color == SOLID else -1
+        edges += [(a, sig * b), (-a, -sig * b)]
+    return _ascending_pair(q.n, edges)
 
 
 def export_dot(q: QuotientGraph) -> str:

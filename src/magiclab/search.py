@@ -25,8 +25,9 @@ int, so a node's choices are one dict lookup filtered by the masks of the
 signs its look-ahead allows and the picks it forces.  The fixed-graph
 searches test their candidates in place.  The searches run in the calling
 thread; emission order is deterministic.  Both
-enumerators pass their pairs, lifted from quotients by quotients.lift or
-unfolded from label graphs, through one verify, sort and classify step under
+enumerators build their pairs on the one ascending-label numbering, the
+quotients through quotients.lift and the all-labelings search's label edges
+directly, and pass them through one verify, sort and classify step under
 the search's deadline.
 
 Degenerate self-reverse classes exist only on wreath graphs (a vertex
@@ -46,8 +47,9 @@ from typing import Iterator, Optional
 from . import graphs as _graphs
 from .graphs import Graph, canonical_code, is_vertex_transitive, vertex_orbit_representatives
 from .labelings import (
-    LabelGraph,
     Labeling,
+    _ascending_labeling,
+    _ascending_pair,
     is_degenerate,
     is_distance_magic,
     is_self_reverse,
@@ -491,15 +493,14 @@ def _degenerate_wreath_pairs(n: int) -> Iterator[tuple[Graph, Labeling]]:
     full four-edge block between label pairs and every vertex's neighbor sum
     vanishes identically, so each class is exactly a circular magnitude
     sequence up to rotation and reflection.  The largest magnitude is pinned
-    first; reflections are killed by ordering its two ring neighbors.  As in
-    LabelGraph.to_graph, vertex (lab + n - 1) // 2 carries label lab, so all
-    pairs share one labeling.
+    first; reflections are killed by ordering its two ring neighbors.  The
+    pairs are on the ascending-label numbering and share its one labeling,
+    which gives the vertices of each block {x, -x}.
     """
     if n % 2 or n < 6:
         return
-    m = n // 2
-    blocks = [(m + i, m - 1 - i) for i in range(m)]  # the vertices of ±(2i + 1)
-    labeling = Labeling(label_set(n))
+    labeling = _ascending_labeling(n)
+    blocks = [(labeling.vertex_of(x), labeling.vertex_of(-x)) for x in range(1, n, 2)]
     for perm in permutations(blocks[:-1]):
         if perm[0] > perm[-1]:
             continue
@@ -582,7 +583,8 @@ def _collect(
                 vt[code] = is_vertex_transitive(g)
     except SearchTimeLimit:
         complete = False
-    # vertices are numbered by ascending label, so edge lists sort as label graphs
+    # every pair is on the one ascending-label numbering (vertex v carries
+    # the v-th smallest label), so edge lists sort as label graphs
     pairs.sort(key=lambda p: p[0].edges())
     report = EnumerationReport(
         n, len(pairs), len(vt), sum(vt.values()), complete, time.monotonic() - start, opts
@@ -623,10 +625,10 @@ class _DMSearch(_QuotientSearch):
         labs = sorted(label_set(n), key=lambda x: (-abs(x), x < 0))
         self._setup(n, labs, (1,), False, False, deadline)
 
-    def _snapshot(self) -> LabelGraph:
+    def _snapshot(self) -> tuple[Graph, Labeling]:
         labs = self.labs
         edges = [(labs[p], labs[q]) for p, c in enumerate(self.chosen) for q, _ in c[1]]
-        return LabelGraph(self.n, edges)
+        return _ascending_pair(self.n, edges)
 
 
 def enumerate_dm(
@@ -643,8 +645,7 @@ def enumerate_dm(
     if opts.require_self_reverse:
         raise SearchError("enumerate_dm runs without the self-reverse flag")
     start, deadline = time.monotonic(), _deadline(opts)
-    stream = (lg.to_graph() for lg in _DMSearch(n, deadline).run())
-    return _collect(n, stream, opts, deadline, start)
+    return _collect(n, _DMSearch(n, deadline).run(), opts, deadline, start)
 
 
 # -- labelings of a fixed graph ------------------------------------------------

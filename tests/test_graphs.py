@@ -137,6 +137,17 @@ class TestConstruction:
         with pytest.raises(GraphError):
             graph_from_json(text)
 
+    @pytest.mark.parametrize("v", [-1, 6])
+    def test_vertex_queries_out_of_range(self, v):
+        # -1 read vertex 5's neighbors (degree 4, a component holding -1)
+        # and 6 raised IndexError
+        g = wreath(3)
+        with pytest.raises(GraphError):
+            g.degree(v)
+        with pytest.raises(GraphError):
+            g.component_of(v)
+        assert g.degree(5) == 4 and g.component_of(5) == list(range(6))
+
 
 class TestBasicQueries:
     def test_regularity(self):

@@ -10,6 +10,7 @@ from magiclab.families import (
 )
 from magiclab.graphs import Graph
 from magiclab.labelings import (
+    LabelGraph,
     Labeling,
     LabelingError,
     are_equivalent,
@@ -254,6 +255,13 @@ class TestLabelGraph:
         lg = label_graph(g, l)
         g2, l2 = lg.to_graph()
         assert label_graph(g2, l2) == lg
+
+    def test_to_graph_numbers_by_ascending_label(self):
+        # vertex v carries the v-th smallest label, and every pair of one
+        # order shares that order's one Labeling
+        (g1, l1), (g2, l2) = (LabelGraph(6, e).to_graph() for e in ([(-5, 5)], [(3, -1)]))
+        assert l1 is l2 and l1.labels == label_set(6)
+        assert (g1.edges(), g2.edges()) == ([(0, 5)], [(2, 4)])
 
     @pytest.mark.parametrize("text", [
         '{"order": 4.0, "edges": [[-3, 1]]}',

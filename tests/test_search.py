@@ -19,6 +19,7 @@ from magiclab.graphs import (
     canonical_code,
 )
 from magiclab.labelings import (
+    _ascending_pair,
     is_degenerate,
     is_distance_magic,
     is_self_reverse,
@@ -28,7 +29,7 @@ from magiclab.labelings import (
     pairing_kernel,
 )
 from magiclab.merges import witness_non_wreath
-from magiclab.quotients import lift, quotient
+from magiclab.quotients import QuotientError, QuotientGraph, lift, quotient
 from magiclab.search import (
     EnumerationReport,
     SearchError,
@@ -215,13 +216,45 @@ class TestEnumerateDm:
         # the search emits distance magic 4-regular label graphs; the only
         # ones verification rejects are the disconnected ones
         opts = SearchOptions(require_self_reverse=False)
-        emitted = [lg.to_graph() for lg in _DMSearch(n).run()]
+        emitted = list(_DMSearch(n).run())
         rejects = [(g, l) for g, l in emitted if not _verify_emission(g, l, opts)]
         for g, l in rejects:
             assert g.is_regular(4) and is_distance_magic(g, l)
             assert not g.is_connected()
         assert (len(emitted), len(rejects)) == (raw, rejected)
         assert raw - rejected == enumerate_dm(n)[1].sr_count
+
+    @pytest.mark.parametrize("n", [10, 12])
+    @pytest.mark.parametrize("bad", ["drop", "repeat"])
+    def test_bad_snapshot_rejected(self, n, bad):
+        # no label graph checks the search's pairs before _collect: a
+        # snapshot that drops one label edge, or repeats one in place of
+        # another, leaves two vertices of degree 3, and verification must
+        # keep none of its pairs
+        class BadSnapshot(_DMSearch):
+            def _snapshot(self):
+                labs = self.labs
+                edges = [(labs[p], labs[q]) for p, c in enumerate(self.chosen) for q, _ in c[1]]
+                edges = edges[1:] + (edges[1:2] if bad == "repeat" else [])
+                return _ascending_pair(self.n, edges)
+
+        emitted = list(BadSnapshot(n).run())
+        assert len(emitted) == TestSearchWork.DM_STREAMS[n][1]
+        pairs, rep = search._collect(n, emitted, DM, None)
+        assert pairs == [] and rep.sr_count == 0
+
+    def test_bad_quotient_snapshot_raises(self, monkeypatch):
+        # the one quotient of order 8 has a semiedge; with it dropped, lift
+        # validates the quotient and the enumeration fails loudly
+        class BadSnapshot(_QuotientSearch):
+            def _snapshot(self):
+                q = super()._snapshot()
+                assert q.semiedges
+                return QuotientGraph(q.n, q.edges, sorted(q.semiedges)[1:], q.central)
+
+        monkeypatch.setattr(search, "_QuotientSearch", BadSnapshot)
+        with pytest.raises(QuotientError, match="semiedge"):
+            enumerate_sr(8, ND)
 
 
 @st.composite
@@ -467,8 +500,8 @@ class TestSearchWork:
         dms = _DMSearch(n)
         h = hashlib.sha256()
         count = 0
-        for lg in dms.run():
-            h.update(label_graph_to_json(lg).encode() + b"\n")
+        for g, l in dms.run():
+            h.update(label_graph_to_json(label_graph(g, l)).encode() + b"\n")
             count += 1
         assert (dms.nodes, count, h.hexdigest()) == self.DM_STREAMS[n]
 
@@ -1108,7 +1141,13 @@ class TestSpecInvariants:
     def test_enumerate_dm_16_unique_nonwreath(self):
         # every graph here has 16 vertices and valence 4, so are_isomorphic
         # with wreath(8) is equality of canonical codes
-        pairs, _ = enumerate_dm(16)
+        pairs, rep = enumerate_dm(16)
+        assert (rep.sr_count, rep.iso_class_count, rep.vt_count) == (11744, 2, 1)
+        # sha256 over label_graph_to_json of each sorted pair, one per line
+        h = hashlib.sha256()
+        for g, l in pairs:
+            h.update(label_graph_to_json(label_graph(g, l)).encode() + b"\n")
+        assert h.hexdigest() == "2b98fc54da68ff8ebd6106b6ec9ca00232f337dffbbb298ae27d5d502e177cbb"
         w8 = canonical_code(wreath(8))
         nonwreath = {canonical_code(g) for g, _ in pairs} - {w8}
         assert len(nonwreath) == 1
