@@ -70,9 +70,11 @@ class Graph:
                 raise GraphError(f"loop edge at vertex {u}")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        self.n = n
-        self.neighbors = tuple(tuple(sorted(s)) for s in nbrs)
-        self._hash = hash(self.neighbors)
+        # object.__setattr__ bypasses the immutability guard below
+        neighbors = tuple(tuple(sorted(s)) for s in nbrs)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "neighbors", neighbors)
+        object.__setattr__(self, "_hash", hash(neighbors))
 
     # -- basic queries ----------------------------------------------------
 
@@ -101,22 +103,24 @@ class Graph:
 
         The empty graph is vacuously connected.
         """
-        if self.n == 0:
-            return True
-        return len(self.component_of(0)) == self.n
+        return self.n == 0 or len(self._reach(0)) == self.n
 
     def component_of(self, v: int) -> list[int]:
         if not 0 <= v < self.n:
             raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
+        return sorted(self._reach(v))
+
+    def _reach(self, v: int) -> set[int]:
+        """The vertices reachable from v, which must lie in 0..n-1."""
+        nbrs = self.neighbors
         seen = {v}
         stack = [v]
         while stack:
-            u = stack.pop()
-            for w in self.neighbors[u]:
+            for w in nbrs[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return sorted(seen)
+        return seen
 
     # -- value semantics ---------------------------------------------------
 

@@ -30,9 +30,13 @@ def label_set(n: int) -> tuple[int, ...]:
 
 
 class Labeling:
-    """Bijection from vertex indices onto label_set(n), stored by vertex."""
+    """Bijection from vertex indices onto label_set(n), stored by vertex.
 
-    __slots__ = ("n", "labels", "_pos")
+    partners[v] is the vertex whose label is the negation of v's, built
+    once here for every predicate that reads the partner map.
+    """
+
+    __slots__ = ("n", "labels", "partners", "_pos")
 
     def __init__(self, labels: Sequence[int]):
         labels = tuple(labels)
@@ -41,9 +45,12 @@ class Labeling:
             raise LabelingError(
                 f"labels must be a bijection onto {{1-n,...,n-1}} for n={n}"
             )
-        self.n = n
-        self.labels = labels
-        self._pos = {lab: v for v, lab in enumerate(labels)}
+        pos = {lab: v for v, lab in enumerate(labels)}
+        # object.__setattr__ bypasses the immutability guard below
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "partners", tuple([pos[-lab] for lab in labels]))
+        object.__setattr__(self, "_pos", pos)
 
     def label(self, v: int) -> int:
         return self.labels[v]
@@ -53,7 +60,7 @@ class Labeling:
 
     def partner(self, v: int) -> int:
         """The unique vertex whose label is the negation of v's label."""
-        return self._pos[-self.labels[v]]
+        return self.partners[v]
 
     def central_vertex(self) -> Optional[int]:
         """The vertex labeled 0, present exactly when n is odd."""
@@ -107,8 +114,8 @@ def _check_same_order(g: Graph, l: Labeling):
 def is_distance_magic(g: Graph, l: Labeling) -> bool:
     """Every vertex's neighbor labels sum to 0."""
     _check_same_order(g, l)
-    labels = l.labels
-    return all(sum(labels[u] for u in nb) == 0 for nb in g.neighbors)
+    label = l.labels.__getitem__
+    return all(sum(map(label, nb)) == 0 for nb in g.neighbors)
 
 
 def partner(l: Labeling, v: int) -> int:
@@ -143,7 +150,7 @@ def is_self_reverse(g: Graph, l: Labeling) -> bool:
     and the labeling is equivalent to its reverse.
     """
     _check_same_order(g, l)
-    part = [l.partner(v) for v in range(g.n)]
+    part = l.partners
     nbrs = g.neighbors
     for u in range(g.n):
         image = nbrs[part[u]]
@@ -156,7 +163,7 @@ def is_self_reverse(g: Graph, l: Labeling) -> bool:
 def is_degenerate(g: Graph, l: Labeling) -> bool:
     """Some vertex u (not self-paired) is adjacent to both members of another pair."""
     _check_same_order(g, l)
-    return pairing_is_degenerate(g, [l.partner(v) for v in range(g.n)])
+    return pairing_is_degenerate(g, l.partners)
 
 
 def pairing_is_degenerate(g: Graph, part: Sequence[int]) -> bool:

@@ -142,13 +142,14 @@ def check_merge_conditions(
         == l2.label(vs[(i - 1) % d]) + l2.label(vs[(i + 1) % d])
         for i in range(d)
     )
+    pu, pv = l.partners, l2.partners
     sr_i = all(
-        us[(i + d0) % d] == l.partner(us[i]) and vs[(i + d0) % d] == l2.partner(vs[i])
+        us[(i + d0) % d] == pu[us[i]] and vs[(i + d0) % d] == pv[vs[i]]
         for i in range(d)
     )
     sr_ii = all(
-        us[(i + d0) % d] == l.partner(us[(d0 - 1 - i) % d])
-        and vs[(i + d0) % d] == l2.partner(vs[(d0 - 1 - i) % d])
+        us[(i + d0) % d] == pu[us[(d0 - 1 - i) % d]]
+        and vs[(i + d0) % d] == pv[vs[(d0 - 1 - i) % d]]
         for i in range(d)
     )
     return MergeReport(

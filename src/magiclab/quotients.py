@@ -66,11 +66,16 @@ class QuotientGraph:
         for a, b, color in edges:
             a, b = _typed(a, int, "label"), _typed(b, int, "label")
             norm.append((min(a, b), max(a, b), _typed(color, str, "edge color")))
-        self.n = _typed(n, int, "order")
-        self.edges = tuple(sorted(set(norm)))
-        self.semiedges = frozenset(_typed(s, int, "semiedge label") for s in semiedges)
-        self.central = _typed(central, bool, "central flag")
-        self._key = (self.n, self.edges, tuple(sorted(self.semiedges)), self.central)
+        n = _typed(n, int, "order")
+        edges = tuple(sorted(set(norm)))
+        semiedges = frozenset(_typed(s, int, "semiedge label") for s in semiedges)
+        central = _typed(central, bool, "central flag")
+        # object.__setattr__ bypasses the immutability guard below
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "semiedges", semiedges)
+        object.__setattr__(self, "central", central)
+        object.__setattr__(self, "_key", (n, edges, tuple(sorted(semiedges)), central))
 
     @property
     def vertices(self) -> tuple[int, ...]:

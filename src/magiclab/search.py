@@ -584,8 +584,12 @@ def _collect(
     except SearchTimeLimit:
         complete = False
     # every pair is on the one ascending-label numbering (vertex v carries
-    # the v-th smallest label), so edge lists sort as label graphs
-    pairs.sort(key=lambda p: p[0].edges())
+    # the v-th smallest label), so edge lists sort as label graphs; and every
+    # kept pair is 4-regular of order n (_verify_emission), so its graph's
+    # neighbor tuples sort in the same order as its edge list: the first
+    # vertex where two graphs differ has the same lower neighbors in both,
+    # hence upper neighbor tuples of one length, compared as the edges are
+    pairs.sort(key=lambda p: p[0].neighbors)
     report = EnumerationReport(
         n, len(pairs), len(vt), sum(vt.values()), complete, time.monotonic() - start, opts
     )

@@ -29,6 +29,8 @@ from magiclab.graphs import (
     _canonical_data,
 )
 from magiclab.families import cartesian_cycles, circulant, direct_cycles, wreath
+from magiclab.quotients import lift
+from magiclab.search import _QuotientSearch, enumerate_dm
 
 
 def k44() -> Graph:
@@ -137,6 +139,13 @@ class TestConstruction:
         with pytest.raises(GraphError):
             graph_from_json(text)
 
+    @pytest.mark.parametrize("name", ["neighbors", "edges", "n", "_hash", "extra"])
+    def test_immutable_after_construction(self, name):
+        g = wreath(3)
+        with pytest.raises(AttributeError):
+            setattr(g, name, ())
+        assert g == wreath(3) and hash(g) == hash(wreath(3))
+
     @pytest.mark.parametrize("v", [-1, 6])
     def test_vertex_queries_out_of_range(self, v):
         # -1 read vertex 5's neighbors (degree 4, a component holding -1)
@@ -160,6 +169,23 @@ class TestBasicQueries:
         two_triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         assert not two_triangles.is_connected()
         assert not direct_cycles(4, 4).is_connected()
+
+    def test_connectivity_counts_one_component(self):
+        # is_connected counts the reached vertices; connected_components
+        # lists them, and the two must agree
+        w3 = wreath(3)
+        two_wreaths = Graph(12, w3.edges() + [(u + 6, v + 6) for u, v in w3.edges()])
+        cases = [Graph(1, []), Graph(2, []), two_wreaths]
+        cases += [g for g, _ in enumerate_dm(12)[0]]
+        lifts = [lift(q)[0] for q in _QuotientSearch(16).run()]
+        assert len(lifts) == 66
+        assert sum(not g.is_connected() for g in lifts) == 18
+        for g in cases + lifts:
+            assert g.is_connected() == (len(connected_components(g)) == 1)
+        assert Graph(1, []).is_connected() and not two_wreaths.is_connected()
+        # the one exception: the empty graph is vacuously connected, with
+        # no component
+        assert Graph(0, []).is_connected() and connected_components(Graph(0, [])) == []
 
     def test_components(self):
         comps = connected_components(direct_cycles(4, 4))

@@ -94,6 +94,29 @@ class TestLabelingBasics:
         assert l.partner(1) == 1
         assert l.central_vertex() == 1
 
+    @pytest.mark.parametrize("labels", [
+        (1, -1),
+        (3, -5, 1, 5, -1, -3),
+        (0,),
+        (-2, 4, 0, -4, 2),
+        (6, -2, 4, -6, 0, 2, -4),
+    ])
+    def test_partners_map_each_vertex_to_its_negated_label(self, labels):
+        for l in (Labeling(labels), Labeling(labels).reverse()):
+            assert len(l.partners) == l.n
+            assert all(l.partners[v] == l.vertex_of(-l.label(v)) for v in range(l.n))
+            assert all(l.partner(v) == l.partners[v] for v in range(l.n))
+            c = l.central_vertex()
+            assert (c is None) == (l.n % 2 == 0)
+            assert c is None or l.partners[c] == c
+
+    @pytest.mark.parametrize("name", ["partners", "labels", "n", "_pos", "extra"])
+    def test_immutable_after_construction(self, name):
+        l = Labeling([3, -1, 1, -3])
+        with pytest.raises(AttributeError):
+            setattr(l, name, ())
+        assert l.labels == (3, -1, 1, -3) and l.partners == (3, 2, 1, 0)
+
     def test_pair_partition(self):
         l = wreath_natural_labeling(3)
         part = pair_partition(l)

@@ -1105,6 +1105,26 @@ class TestReportSemantics:
             _, rep = enumerate_sr(n, SearchOptions(require_nondegenerate=True))
             assert rep.sr_count >= rep.iso_class_count >= rep.vt_count >= 0
 
+    @pytest.mark.parametrize("pairs", [
+        lambda: list(search._sr_candidates(12, SR, None)),
+        lambda: list(search._sr_candidates(16, SR, None)),
+        lambda: enumerate_dm(12)[0],
+    ], ids=["sr12", "sr16", "dm12"])
+    def test_sort_by_neighbors_is_sort_by_edges(self, pairs):
+        # _collect sorts kept pairs by neighbor tuples; on 4-regular graphs
+        # of one order that is the edge-list (label graph) order
+        pairs = pairs()
+        assert len(pairs) > 50 and all(g.is_regular(4) for g, _ in pairs)
+        random.Random(len(pairs)).shuffle(pairs)
+        by_edges = sorted(pairs, key=lambda p: p[0].edges())
+        assert sorted(pairs, key=lambda p: p[0].neighbors) == by_edges
+
+    def test_sort_by_neighbors_needs_equal_degrees(self):
+        # the precondition: on graphs of unequal degrees the orders differ
+        path, star = Graph(3, [(0, 1), (1, 2)]), Graph(3, [(0, 1), (0, 2)])
+        assert path.edges() > star.edges()
+        assert path.neighbors < star.neighbors
+
 
 class TestSpecInvariants:
     def test_degenerate_implies_wreath_over_all_dm(self):
