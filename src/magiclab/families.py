@@ -93,6 +93,8 @@ def wreath_non_sr_labeling(m: int) -> Labeling:
 
 def circulant(n: int, connections: Iterable[int]) -> Graph:
     """Cayley graph of Z_n: vertex i adjacent to i+s for every s in the set."""
+    if n < 1:
+        raise GraphError(f"circulant graphs need n >= 1, got {n}")
     conns = {s % n for s in connections}
     if 0 in conns:
         raise GraphError("connection set must not contain 0 mod n")

@@ -22,9 +22,17 @@ and takes its code; every leaf of the full tree is an automorphic image of
 a leaf met, so isomorphic copies always hit.  The memo keeps at most
 MAX_CERTIFICATES entries and is emptied when full.
 
-All values are immutable; module-level caches are semantically transparent
-and bounded.  Threads may share them: every entry is correct, so a race can
-at worst lose one.
+Graph hands out one shared tuple object for each distinct neighborhood: the
+tuples come from a table of at most MAX_NEIGHBORHOODS entries, emptied when
+full, so the many graphs of an enumeration hold a few hundred neighbor
+tuples between them instead of one per vertex.  Every tuple the table holds
+is made of exact ints, so sharing never hands a bool or another int-like
+value from one graph to the next.
+
+All values are immutable; module-level caches (the certificate memo, the
+neighborhood table and the lru_cache of canonical data) are semantically
+transparent and bounded.  Threads may share them: every entry is correct,
+so a race can at worst lose one.
 """
 
 from __future__ import annotations
@@ -39,9 +47,12 @@ from typing import Iterable, Sequence
 MAX_CANONICAL_ORDER = 64
 MAX_LISTING_SIZE = 64_000_000  # vertex images in one group listing, n * |Aut|
 MAX_CERTIFICATES = 1 << 16  # leaf certificates kept; the memo is cleared when full
+MAX_NEIGHBORHOODS = 1 << 16  # shared neighbor tuples kept; the table is cleared when full
 
 # leaf certificate -> canonical code, filled by every full search
 _certificates: dict[bytes, bytes] = {}
+# neighbor tuple -> the equal tuple of exact ints that every graph shares
+_neighborhoods: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 class GraphError(ValueError):
@@ -52,26 +63,38 @@ class Graph:
     """Finite simple undirected graph.
 
     Vertices are 0..n-1; adjacency is held once, as sorted, duplicate-free
-    neighbor tuples that every query reads.  Instances are immutable and
-    hashable; equality and hash use the neighbor tuples (labeled equality).
+    neighbor tuples of exact ints that every query reads.  Equal neighbor
+    tuples are one object, shared with every other graph that has that
+    neighborhood (see _shared).  Instances are immutable and hashable;
+    equality and hash use the neighbor tuples (labeled equality).  A vertex
+    id may be any value that indexes a list, such as a bool; it is stored as
+    the equal int.
     """
 
     __slots__ = ("n", "neighbors", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
+        if type(n) is not int:
+            # a bool order would reach the JSON output as true
+            raise GraphError(f"order must be int, got {type(n).__name__} {n!r}")
         if n < 0:
             raise GraphError(f"order must be nonnegative, got {n}")
         nbrs: list[set[int]] = [set() for _ in range(n)]
-        for e in edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) has an endpoint outside 0..{n-1}")
-            if u == v:
-                raise GraphError(f"loop edge at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+        try:
+            for e in edges:
+                u, v = e
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphError(f"edge ({u},{v}) has an endpoint outside 0..{n-1}")
+                if u == v:
+                    raise GraphError(f"loop edge at vertex {u}")
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+        except TypeError as exc:
+            # a float, str or None vertex fails the range test or the list index
+            raise GraphError(f"edges must be pairs of int vertex ids: {exc}") from exc
+        get = _neighborhoods.get
+        neighbors = tuple([get(t) or _shared(t) for t in map(tuple, map(sorted, nbrs))])
         # object.__setattr__ bypasses the immutability guard below
-        neighbors = tuple(tuple(sorted(s)) for s in nbrs)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "neighbors", neighbors)
         object.__setattr__(self, "_hash", hash(neighbors))
@@ -137,6 +160,20 @@ class Graph:
         if hasattr(self, "_hash"):
             raise AttributeError("Graph is immutable")
         object.__setattr__(self, name, value)
+
+
+def _shared(t: tuple) -> tuple[int, ...]:
+    """The table's tuple equal to t, stored as exact ints on first sight.
+
+    Every stored tuple is normalised with int(), so a graph built from bools
+    gets the same neighbor tuples whether or not the table already holds
+    them.  The table keeps at most MAX_NEIGHBORHOODS entries and is emptied
+    when full; graphs keep the tuples they were given.
+    """
+    t = tuple(map(int, t))
+    if len(_neighborhoods) >= MAX_NEIGHBORHOODS:
+        _neighborhoods.clear()
+    return _neighborhoods.setdefault(t, t)
 
 
 def new_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:

@@ -40,6 +40,11 @@ class Labeling:
 
     def __init__(self, labels: Sequence[int]):
         labels = tuple(labels)
+        for x in labels:
+            # a bool or float equal to a label would pass the bijection test
+            # and reach the JSON output as true or 1.0
+            if type(x) is not int:
+                raise LabelingError(f"labels must be int, got {type(x).__name__} {x!r}")
         n = len(labels)
         if sorted(labels) != list(label_set(n)):
             raise LabelingError(

@@ -1,5 +1,6 @@
 import pytest
 
+from magiclab.cli import main
 from magiclab.families import (
     cartesian_cycles,
     circulant,
@@ -158,6 +159,17 @@ class TestCirculant:
     def test_rejects_zero(self):
         with pytest.raises(GraphError):
             circulant(6, [0, 1, -1])
+
+    @pytest.mark.parametrize("n", [0, -1, -6])
+    def test_rejects_nonpositive_order(self, n):
+        # n = 0 raised ZeroDivisionError from the residues mod n
+        with pytest.raises(GraphError):
+            circulant(n, [1, -1])
+
+    def test_cli_reports_nonpositive_order(self, capsys):
+        assert main(["gen", "circulant", "0", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestCycleProducts:

@@ -564,6 +564,94 @@ class TestCertificateMemo:
         assert 0 < max(sizes) <= 8
 
 
+@pytest.fixture
+def empty_table(monkeypatch):
+    """An empty neighborhood table for one test."""
+    monkeypatch.setattr(graphs, "_neighborhoods", {})
+    return graphs._neighborhoods
+
+
+def unshared_neighbors(n, edges):
+    """The neighbor tuples built without the table, as the reference."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return tuple(tuple(sorted(s)) for s in nbrs)
+
+
+class TestSharedNeighborhoods:
+    """Every graph takes its neighbor tuples from one bounded table, so equal
+    neighborhoods are one tuple object of exact ints."""
+
+    def test_enumeration_holds_one_tuple_per_neighborhood(self, empty_table):
+        from magiclab.search import enumerate_sr
+
+        pairs, _ = enumerate_sr(16)
+        tuples = [t for g, _ in pairs for t in g.neighbors]
+        assert (len(pairs), len(tuples)) == (2568, 2568 * 16)
+        assert len({id(t) for t in tuples}) == len(set(tuples)) == 52
+
+    def test_equal_neighborhoods_are_one_object(self, empty_table):
+        g = Graph(4, [(0, 1), (0, 2), (3, 1), (3, 2)])
+        h = Graph(6, [(5, 1), (5, 2), (4, 3)])
+        assert g.neighbors[0] == h.neighbors[5] == (1, 2)
+        assert g.neighbors[0] is g.neighbors[3] is h.neighbors[5]
+        w, v = wreath(7), Graph(14, wreath(7).edges())
+        assert all(a is b for a, b in zip(w.neighbors, v.neighbors))
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_bool_vertex_ids_are_stored_as_ints(self, empty_table, warm):
+        # a table holding (0, 1) must not change what a bool-built graph
+        # stores, and a bool-built graph must not leak True to later graphs
+        if warm:
+            Graph(3, [(1, 2), (0, 2)])
+        g = Graph(3, [(True, 2), (0, 2)])
+        h = Graph(3, [(1, 2), (0, 2)])
+        for graph in (g, h):
+            assert graph.neighbors == ((2,), (2,), (0, 1))
+            assert all(type(x) is int for nb in graph.neighbors for x in nb)
+        assert g == h and hash(g) == hash(h) and g.edges() == [(0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("edges", [
+        [(0.0, 1)], [(0, 1.0)], [(0, "1")], [(None, 1)], [(0, 1), 2],
+    ])
+    def test_non_int_vertex_ids_raise_graph_error(self, empty_table, warm, edges):
+        if warm:
+            Graph(3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(GraphError):
+            Graph(3, edges)
+
+    @pytest.mark.parametrize("n", [True, 3.0, "3", None])
+    def test_order_is_an_exact_int(self, n):
+        # Graph(True, []) wrote "order": true, which graph_from_json refuses,
+        # and Graph(3.0, []) raised a bare TypeError
+        with pytest.raises(GraphError):
+            Graph(n, [])
+
+    def test_table_is_bounded(self, empty_table, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_NEIGHBORHOODS", 8)
+        sizes = []
+        for n in range(3, 25):
+            for g, edges in ((cycle(n), cycle(n).edges()), (path(n), path(n).edges())):
+                assert g.neighbors == unshared_neighbors(n, edges)
+                sizes.append(len(graphs._neighborhoods))
+        assert 0 < max(sizes) <= 8
+
+    def test_equality_hash_and_edges_unchanged(self, empty_table):
+        from magiclab.search import enumerate_sr
+
+        graphs_ = [g for g, _ in enumerate_sr(14)[0]] + TestPinnedOutputs.family_graphs()
+        for g in graphs_:
+            edges = g.edges()
+            ref = unshared_neighbors(g.n, edges)
+            assert g.neighbors == ref and hash(g) == hash(ref)
+            empty_table.clear()
+            h = Graph(g.n, reversed(edges))
+            assert h == g and hash(h) == hash(g) and h.edges() == edges
+
+
 def _divides(group_size: int, n: int) -> bool:
     import math
     return math.factorial(n) % group_size == 0

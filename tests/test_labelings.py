@@ -84,6 +84,21 @@ class TestLabelingBasics:
         with pytest.raises(LabelingError):
             labeling_from_json(text)
 
+    @pytest.mark.parametrize("labels, kind", [
+        ([True, -1], "bool"),
+        ([1.0, -1.0], "float"),
+        ([-1, 1.0], "float"),
+        ([3, -1, 1, -3.0], "float"),
+        ([-2, False, 2], "bool"),
+    ])
+    def test_labels_are_exact_ints(self, labels, kind):
+        # equal to a bijection onto the labels, but written as true or 1.0
+        # they would not load back through labeling_from_json
+        with pytest.raises(LabelingError, match=f"got {kind}"):
+            Labeling(labels)
+        exact = Labeling([int(x) for x in labels])
+        assert labeling_from_json(labeling_to_json(exact)) == exact
+
     def test_partner(self):
         l = wreath_natural_labeling(3)
         assert l.partner(0) == 3  # label 1 pairs with -1
