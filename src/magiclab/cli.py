@@ -182,6 +182,8 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_extend(args) -> int:
+    if args.times < 1:
+        raise _UsageError(f"--times must be at least 1, got {args.times}")
     g = _read_graph(args.graph)
     l = _read_labeling(args.labeling)
     a, b = _int_list(args.edge)

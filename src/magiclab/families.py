@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, exact
 from .labelings import Labeling
 
 
 def wreath(m: int) -> Graph:
     """Order-2m tetravalent graph: both vertices at position i are adjacent
     to all four vertices at positions i-1 and i+1 (mod m)."""
-    if m < 3:
+    if exact(m, "m", GraphError) < 3:
         raise GraphError(f"wreath graphs need m >= 3, got {m}")
     edges = []
     for i in range(m):
@@ -30,7 +30,7 @@ def wreath(m: int) -> Graph:
 def wreath_natural_labeling(m: int) -> Labeling:
     """x_i gets 2i+1 and y_i gets -(2i+1); distance magic, self-reverse,
     degenerate on wreath(m)."""
-    if m < 3:
+    if exact(m, "m", GraphError) < 3:
         raise GraphError(f"wreath graphs need m >= 3, got {m}")
     labels = [0] * (2 * m)
     for i in range(m):
@@ -40,7 +40,7 @@ def wreath_natural_labeling(m: int) -> Labeling:
 
 
 def _require_multiple_of_4(m: int):
-    if m < 4 or m % 4 != 0:
+    if exact(m, "m", GraphError) < 4 or m % 4 != 0:
         raise GraphError(f"this labeling needs m to be a positive multiple of 4, got {m}")
 
 
@@ -93,9 +93,9 @@ def wreath_non_sr_labeling(m: int) -> Labeling:
 
 def circulant(n: int, connections: Iterable[int]) -> Graph:
     """Cayley graph of Z_n: vertex i adjacent to i+s for every s in the set."""
-    if n < 1:
+    if exact(n, "n", GraphError) < 1:
         raise GraphError(f"circulant graphs need n >= 1, got {n}")
-    conns = {s % n for s in connections}
+    conns = {exact(s, "connection", GraphError) % n for s in connections}
     if 0 in conns:
         raise GraphError("connection set must not contain 0 mod n")
     if any((-s) % n not in conns for s in conns):
@@ -106,7 +106,7 @@ def circulant(n: int, connections: Iterable[int]) -> Graph:
 
 def cartesian_cycles(m: int, k: int) -> Graph:
     """Cartesian product C_m x C_k: one coordinate steps, the other is fixed."""
-    if m < 3 or k < 3:
+    if exact(m, "m", GraphError) < 3 or exact(k, "k", GraphError) < 3:
         raise GraphError("both cycle lengths must be at least 3")
     edges = []
     for i in range(m):
@@ -122,7 +122,7 @@ def direct_cycles(m: int, k: int) -> Graph:
 
     May be disconnected; callers check connectivity themselves.
     """
-    if m < 3 or k < 3:
+    if exact(m, "m", GraphError) < 3 or exact(k, "k", GraphError) < 3:
         raise GraphError("both cycle lengths must be at least 3")
     edges = set()
     for i in range(m):

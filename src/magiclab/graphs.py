@@ -29,6 +29,14 @@ tuples between them instead of one per vertex.  Every tuple the table holds
 is made of exact ints, so sharing never hands a bool or another int-like
 value from one graph to the next.
 
+Two rules every value type of the package shares live here.  exact is the
+one type check: an order, a label, a count, a colour or a flag must have
+exactly the documented type, so a bool is no int and an int no float, and
+the check raises the caller's own error class naming the type it got.
+Frozen is the one immutability guard: Graph, Labeling, LabelGraph and
+QuotientGraph derive from it, and once a constructor has set the class's
+last slot, assignment and deletion raise AttributeError.
+
 All values are immutable; module-level caches (the certificate memo, the
 neighborhood table and the lru_cache of canonical data) are semantically
 transparent and bounded.  Threads may share them: every entry is correct,
@@ -59,7 +67,35 @@ class GraphError(ValueError):
     """Invalid graph construction or an operation outside documented limits."""
 
 
-class Graph:
+def exact(x, what: str, error: type[Exception], kind: type = int):
+    """x itself if its type is exactly kind; error naming the type otherwise."""
+    if type(x) is not kind:
+        raise error(f"{what} must be {kind.__name__}, got {type(x).__name__} {x!r}")
+    return x
+
+
+class Frozen:
+    """Base of the immutable value types.  Constructors set each slot with
+    object.__setattr__, the class's last slot last; from then on assignment
+    and deletion raise AttributeError.  copy and pickle restore the slots
+    in that order, so they work too."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        self._refuse_if_frozen()
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        self._refuse_if_frozen()
+        object.__delattr__(self, name)
+
+    def _refuse_if_frozen(self):
+        if hasattr(self, self.__slots__[-1]):
+            raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Graph(Frozen):
     """Finite simple undirected graph.
 
     Vertices are 0..n-1; adjacency is held once, as sorted, duplicate-free
@@ -74,10 +110,8 @@ class Graph:
     __slots__ = ("n", "neighbors", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
-        if type(n) is not int:
-            # a bool order would reach the JSON output as true
-            raise GraphError(f"order must be int, got {type(n).__name__} {n!r}")
-        if n < 0:
+        # a bool order would reach the JSON output as true
+        if exact(n, "order", GraphError) < 0:
             raise GraphError(f"order must be nonnegative, got {n}")
         nbrs: list[set[int]] = [set() for _ in range(n)]
         try:
@@ -94,7 +128,6 @@ class Graph:
             raise GraphError(f"edges must be pairs of int vertex ids: {exc}") from exc
         get = _neighborhoods.get
         neighbors = tuple([get(t) or _shared(t) for t in map(tuple, map(sorted, nbrs))])
-        # object.__setattr__ bypasses the immutability guard below
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "neighbors", neighbors)
         object.__setattr__(self, "_hash", hash(neighbors))
@@ -155,11 +188,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "_hash"):
-            raise AttributeError("Graph is immutable")
-        object.__setattr__(self, name, value)
 
 
 def _shared(t: tuple) -> tuple[int, ...]:
@@ -222,24 +250,17 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps({"order": g.n, "edges": [list(e) for e in g.edges()]})
 
 
-def _json_int(x) -> int:
-    """x itself if it is a JSON integer; TypeError for floats, strings and bools."""
-    if type(x) is not int:
-        raise TypeError(f"expected an integer, got {x!r}")
-    return x
-
-
-def _json_edge(e) -> tuple[int, int]:
-    """An edge [u, v] of two JSON integers as a tuple; TypeError otherwise."""
+def _json_edge(e, what: str, error: type[Exception]) -> tuple[int, int]:
+    """An edge [u, v] of two JSON integers as a tuple; error otherwise."""
     if not isinstance(e, list) or len(e) != 2:
-        raise TypeError(f"expected an edge [u, v], got {e!r}")
-    return _json_int(e[0]), _json_int(e[1])
+        raise error(f"expected an edge [u, v], got {e!r}")
+    return exact(e[0], what, error), exact(e[1], what, error)
 
 
 def graph_from_json(text: str) -> Graph:
     data = json.loads(text)
     try:
-        return Graph(_json_int(data["order"]), [_json_edge(e) for e in data["edges"]])
+        return Graph(data["order"], [_json_edge(e, "vertex id", GraphError) for e in data["edges"]])
     except (KeyError, TypeError) as exc:
         raise GraphError(f"graph JSON lacks a field or has a wrong type: {exc}") from exc
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, _json_edge, _json_int
+from .graphs import Frozen, Graph, _json_edge, exact
 
 
 class LabelingError(ValueError):
@@ -24,12 +24,12 @@ class LabelingError(ValueError):
 
 def label_set(n: int) -> tuple[int, ...]:
     """The n labels 1-n, 3-n, ..., n-1, ascending."""
-    if n < 1:
+    if exact(n, "order", LabelingError) < 1:
         raise LabelingError("label set needs a positive order")
     return tuple(range(1 - n, n, 2))
 
 
-class Labeling:
+class Labeling(Frozen):
     """Bijection from vertex indices onto label_set(n), stored by vertex.
 
     partners[v] is the vertex whose label is the negation of v's, built
@@ -44,14 +44,13 @@ class Labeling:
             # a bool or float equal to a label would pass the bijection test
             # and reach the JSON output as true or 1.0
             if type(x) is not int:
-                raise LabelingError(f"labels must be int, got {type(x).__name__} {x!r}")
+                exact(x, "label", LabelingError)
         n = len(labels)
         if sorted(labels) != list(label_set(n)):
             raise LabelingError(
                 f"labels must be a bijection onto {{1-n,...,n-1}} for n={n}"
             )
         pos = {lab: v for v, lab in enumerate(labels)}
-        # object.__setattr__ bypasses the immutability guard below
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "partners", tuple([pos[-lab] for lab in labels]))
@@ -61,7 +60,10 @@ class Labeling:
         return self.labels[v]
 
     def vertex_of(self, lab: int) -> int:
-        return self._pos[lab]
+        try:
+            return self._pos[lab]
+        except KeyError:
+            raise LabelingError(f"no vertex of order {self.n} carries label {lab!r}") from None
 
     def partner(self, v: int) -> int:
         """The unique vertex whose label is the negation of v's label."""
@@ -84,11 +86,6 @@ class Labeling:
     def __repr__(self) -> str:
         return f"Labeling({list(self.labels)})"
 
-    def __setattr__(self, name, value):
-        if hasattr(self, "_pos"):
-            raise AttributeError("Labeling is immutable")
-        object.__setattr__(self, name, value)
-
 
 def labeling_to_json(l: Labeling) -> str:
     return json.dumps({"order": l.n, "labels": list(l.labels)})
@@ -97,11 +94,10 @@ def labeling_to_json(l: Labeling) -> str:
 def labeling_from_json(text: str) -> Labeling:
     data = json.loads(text)
     try:
-        labels = [_json_int(x) for x in data["labels"]]
-        order = _json_int(data["order"])
+        labels, order = list(data["labels"]), data["order"]
     except (KeyError, TypeError) as exc:
         raise LabelingError(f"labeling JSON lacks a field or has a wrong type: {exc}") from exc
-    if len(labels) != order:
+    if len(labels) != exact(order, "order", LabelingError):
         raise LabelingError("label count does not match the declared order")
     return Labeling(labels)
 
@@ -272,7 +268,7 @@ def _ascending_pair(n: int, label_edges: Iterable[Sequence[int]]) -> tuple[Graph
     return Graph(n, [(pos[a], pos[b]) for a, b in label_edges]), l
 
 
-class LabelGraph:
+class LabelGraph(Frozen):
     """Graph whose vertex set is the label set itself.
 
     The image of a labeled graph under its labeling; two labelings are
@@ -287,14 +283,18 @@ class LabelGraph:
         norm = set()
         for e in edges:
             a, b = e
+            if type(a) is not int or type(b) is not int:
+                # a bool or float label would reach the JSON output as true or 1.0
+                for x in (a, b):
+                    exact(x, "label", LabelingError)
             if a not in valid or b not in valid:
                 raise LabelingError(f"label edge ({a},{b}) outside the label set")
             if a == b:
                 raise LabelingError(f"label edge with equal endpoints {a}")
             norm.add((a, b) if a < b else (b, a))
-        self.n = n
-        self.edges = frozenset(norm)
-        self._key = (n, tuple(sorted(norm)))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "_key", (n, tuple(sorted(norm))))
 
     def sort_key(self) -> tuple:
         return self._key
@@ -312,11 +312,6 @@ class LabelGraph:
     def __repr__(self) -> str:
         return f"LabelGraph(n={self.n}, edges={len(self.edges)})"
 
-    def __setattr__(self, name, value):
-        if hasattr(self, "_key"):
-            raise AttributeError("LabelGraph is immutable")
-        object.__setattr__(self, name, value)
-
 
 def label_graph_to_json(lg: LabelGraph) -> str:
     return json.dumps({"order": lg.n, "edges": [list(e) for e in sorted(lg.edges)]})
@@ -325,7 +320,8 @@ def label_graph_to_json(lg: LabelGraph) -> str:
 def label_graph_from_json(text: str) -> LabelGraph:
     data = json.loads(text)
     try:
-        return LabelGraph(_json_int(data["order"]), [_json_edge(e) for e in data["edges"]])
+        edges = [_json_edge(e, "label", LabelingError) for e in data["edges"]]
+        return LabelGraph(data["order"], edges)
     except (KeyError, TypeError) as exc:
         raise LabelingError(f"label graph JSON lacks a field or has a wrong type: {exc}") from exc
 

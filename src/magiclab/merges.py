@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .families import wreath, wreath_natural_labeling, wreath_nondegenerate_labeling
-from .graphs import Graph, _is_wreath
+from .graphs import Graph, _is_wreath, exact
 from .labelings import (
     Labeling,
     is_alternating,
@@ -319,17 +319,11 @@ def _chain_witness(n: int) -> tuple[Graph, Labeling]:
     return _verified(g, l, nondegenerate=True)
 
 
-def _check_order(n) -> None:
-    if not _search._is_number(n):
-        raise MergeError(f"order must be an int, got {type(n).__name__}")
-
-
 def witness(n: int) -> Optional[tuple[Graph, Labeling]]:
     """A connected tetravalent order-n graph with a self-reverse distance
     magic labeling, or None when no such graph exists (even n >= 6, odd
     n >= 21).  Returned pairs are verified."""
-    _check_order(n)
-    if n < 5:
+    if exact(n, "order", MergeError) < 5:
         raise MergeError("witnesses are defined for orders at least 5")
     if n % 2 == 0:
         return _verified(wreath(n // 2), wreath_natural_labeling(n // 2)) if n >= 6 else None
@@ -339,8 +333,7 @@ def witness(n: int) -> Optional[tuple[Graph, Labeling]]:
 def witness_nondegenerate(n: int) -> Optional[tuple[Graph, Labeling]]:
     """As witness, but the labeling is additionally non-degenerate; present
     exactly for n in {8, 16, 18, 20, 21} and every n >= 23."""
-    _check_order(n)
-    if n in (8, 16):
+    if exact(n, "order", MergeError) in (8, 16):
         return _verified(wreath(n // 2), wreath_nondegenerate_labeling(n // 2), nondegenerate=True)
     return witness_non_wreath(n)
 
@@ -348,7 +341,6 @@ def witness_nondegenerate(n: int) -> Optional[tuple[Graph, Labeling]]:
 def witness_non_wreath(n: int) -> Optional[tuple[Graph, Labeling]]:
     """As witness, but the graph is not a wreath graph and the labeling is
     non-degenerate; present exactly for n >= 18 with n not in {19, 22}."""
-    _check_order(n)
-    if n < 5:
+    if exact(n, "order", MergeError) < 5:
         raise MergeError("witnesses are defined for orders at least 5")
     return _chain_witness(n) if n >= 18 and n not in (19, 22) else None

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph
+from .graphs import Frozen, Graph, exact
 from .labelings import (
     Labeling,
     _ascending_pair,
@@ -36,15 +36,7 @@ class QuotientError(ValueError):
     """Quotient precondition failure or an invariant violation."""
 
 
-def _typed(x, kind: type, what: str):
-    """x itself if its type is exactly kind (so a bool is no int label);
-    QuotientError naming the type otherwise."""
-    if type(x) is not kind:
-        raise QuotientError(f"{what} must be {kind.__name__}, got {type(x).__name__} {x!r}")
-    return x
-
-
-class QuotientGraph:
+class QuotientGraph(Frozen):
     """Labeled half-order graph with colored edges and semiedges.
 
     Vertices are exactly the nonnegative members of label_set(n).  The
@@ -64,13 +56,12 @@ class QuotientGraph:
     ):
         norm = []
         for a, b, color in edges:
-            a, b = _typed(a, int, "label"), _typed(b, int, "label")
-            norm.append((min(a, b), max(a, b), _typed(color, str, "edge color")))
-        n = _typed(n, int, "order")
+            a, b = exact(a, "label", QuotientError), exact(b, "label", QuotientError)
+            norm.append((min(a, b), max(a, b), exact(color, "edge color", QuotientError, str)))
+        n = exact(n, "order", QuotientError)
         edges = tuple(sorted(set(norm)))
-        semiedges = frozenset(_typed(s, int, "semiedge label") for s in semiedges)
-        central = _typed(central, bool, "central flag")
-        # object.__setattr__ bypasses the immutability guard below
+        semiedges = frozenset(exact(s, "semiedge label", QuotientError) for s in semiedges)
+        central = exact(central, "central flag", QuotientError, bool)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "semiedges", semiedges)
@@ -144,11 +135,6 @@ class QuotientGraph:
             f"QuotientGraph(n={self.n}, edges={len(self.edges)}, "
             f"semiedges={sorted(self.semiedges)}, central={self.central})"
         )
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "_key"):
-            raise AttributeError("QuotientGraph is immutable")
-        object.__setattr__(self, name, value)
 
 
 def quotient_to_json(q: QuotientGraph) -> str:

@@ -45,7 +45,7 @@ from itertools import accumulate, chain, permutations
 from typing import Iterator, Optional
 
 from . import graphs as _graphs
-from .graphs import Graph, canonical_code, is_vertex_transitive, vertex_orbit_representatives
+from .graphs import Graph, canonical_code, exact, is_vertex_transitive, vertex_orbit_representatives
 from .labelings import (
     Labeling,
     _ascending_labeling,
@@ -88,28 +88,17 @@ class SearchOptions:
     thread_budget: int = 1
 
     def __post_init__(self):
-        if self.valence != 4:
+        if exact(self.valence, "valence", SearchError) != 4:
             raise SearchError("only valence 4 is supported")
         for flag in ("require_self_reverse", "require_nondegenerate", "require_connected"):
-            value = getattr(self, flag)
-            if not isinstance(value, bool):
-                raise SearchError(f"{flag} must be a bool, got {type(value).__name__}")
-        if self.time_limit is not None and not (
-            _is_number(self.time_limit, float) and self.time_limit > 0  # nan too
+            exact(getattr(self, flag), flag, SearchError, bool)
+        t = self.time_limit
+        if t is not None and not (
+            isinstance(t, (int, float)) and not isinstance(t, bool) and t > 0  # nan too
         ):
             raise SearchError("time limit must be a positive int or float")
-        if not (_is_number(self.thread_budget) and self.thread_budget >= 1):
+        if exact(self.thread_budget, "thread budget", SearchError) < 1:
             raise SearchError("thread budget must be an int of at least 1")
-
-
-def _is_number(x, *types) -> bool:
-    """Whether x is an int, or one of the extra types, and not a bool."""
-    return isinstance(x, (int, *types)) and not isinstance(x, bool)
-
-
-def _check_order(n) -> None:
-    if not _is_number(n):
-        raise SearchError(f"order must be an int, got {type(n).__name__}")
 
 
 @dataclass
@@ -515,8 +504,7 @@ def _sr_candidates(
     """Unverified self-reverse pairs of order n: the lift of each quotient
     found, then (when allowed) the closed-form degenerate classes.  Every
     option is checked when this is called, not when the stream is read."""
-    _check_order(n)
-    if n < 5:
+    if exact(n, "order", SearchError) < 5:
         raise SearchError("self-reverse enumeration needs order >= 5")
     if not opts.require_self_reverse:
         raise SearchError("self-reverse enumeration requires the self-reverse flag")
@@ -641,8 +629,7 @@ def enumerate_dm(
     """All distance magic labeling classes of connected tetravalent graphs
     of order n, with no symmetry requirement.  Capped at order DM_ORDER_CAP.
     """
-    _check_order(n)
-    if n > DM_ORDER_CAP:
+    if exact(n, "order", SearchError) > DM_ORDER_CAP:
         raise SearchError(f"all-labelings enumeration is capped at order {DM_ORDER_CAP}")
     if n < 5:
         raise SearchError("enumeration needs order >= 5")
@@ -1033,7 +1020,7 @@ def find_labelings(
     """
     if not g.is_regular(4):
         raise SearchError("labeling search supports tetravalent graphs only")
-    if max_results is not None and not (_is_number(max_results) and max_results >= 1):
+    if max_results is not None and exact(max_results, "max_results", SearchError) < 1:
         raise SearchError("max_results must be an int of at least 1")
     if opts.require_connected and not g.is_connected():
         return []
@@ -1099,8 +1086,8 @@ def table1_report(
     row holds the partial counts of that order, zeros when no time was left
     to start it.
     """
-    _check_order(n_min)
-    _check_order(n_max)
+    for n in (n_min, n_max):
+        exact(n, "order", SearchError)
     if not (5 <= n_min <= n_max):
         raise SearchError("range must satisfy 5 <= n_min <= n_max")
     opts = replace(opts, require_nondegenerate=True, require_self_reverse=True)

@@ -226,6 +226,19 @@ class TestMergeExtendWitness:
         assert code == 0
         assert json.loads(out)["graph"]["order"] == 16
 
+    @pytest.mark.parametrize("times", ["0", "-1"])
+    def test_extend_needs_one_step(self, capsys, tmp_path, times):
+        # printed the input pair, unverified, with exit 0
+        from magiclab.families import wreath_nondegenerate_labeling
+        g = tmp_path / "w4.json"
+        l = tmp_path / "l4.json"
+        g.write_text(graph_to_json(wreath(4)))
+        l.write_text(labeling_to_json(wreath_nondegenerate_labeling(4)))
+        code, out, err = run(capsys, "extend", "--graph", str(g), "--labeling", str(l),
+                             "--edge", "3,7", "--times", times)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "--times" in err
+
     def test_witness_absent(self, capsys):
         code, out, _ = run(capsys, "witness", "19")
         assert code == 0

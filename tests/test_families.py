@@ -190,3 +190,23 @@ class TestCycleProducts:
             cartesian_cycles(2, 5)
         with pytest.raises(GraphError):
             direct_cycles(3, 2)
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("make, args, kind", [
+        (wreath, (3.0,), "float"),
+        (wreath, (True,), "bool"),
+        (wreath_natural_labeling, (3.0,), "float"),
+        (wreath_nondegenerate_labeling, (4.0,), "float"),
+        (wreath_degenerate_labeling, (4.0,), "float"),
+        (wreath_non_sr_labeling, (8.0,), "float"),
+        (circulant, (5.0, [1, 2]), "float"),
+        (circulant, (5, [True, 4]), "bool"),
+        (cartesian_cycles, (3, "4"), "str"),
+        (direct_cycles, (3, 3.0), "float"),
+    ], ids=lambda x: getattr(x, "__name__", None))
+    def test_arguments_are_exact_ints(self, make, args, kind):
+        # floats raised a bare TypeError, or for circulant a wrong message
+        # about negation, and bools passed as ints
+        with pytest.raises(GraphError, match=f"must be int, got {kind}"):
+            make(*args)

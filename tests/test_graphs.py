@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import time
 from functools import lru_cache
@@ -29,7 +31,8 @@ from magiclab.graphs import (
     _canonical_data,
 )
 from magiclab.families import cartesian_cycles, circulant, direct_cycles, wreath
-from magiclab.quotients import lift
+from magiclab.labelings import LabelGraph, Labeling
+from magiclab.quotients import SOLID, QuotientGraph, lift
 from magiclab.search import _QuotientSearch, enumerate_dm
 
 
@@ -59,6 +62,19 @@ def renumbered(g: Graph, seed: int) -> Graph:
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     return apply_permutation(g, perm)
+
+
+# one small instance of each value type, and the names its guard must hold:
+# every slot, a method name and a name the class does not have
+VALUES = {
+    "Graph": (lambda: wreath(3), ["n", "neighbors", "_hash", "edges", "extra"]),
+    "Labeling": (lambda: Labeling([3, -1, 1, -3]), ["n", "labels", "partners", "_pos", "extra"]),
+    "LabelGraph": (lambda: LabelGraph(4, [(3, -1), (1, -3)]), ["n", "edges", "_key", "extra"]),
+    "QuotientGraph": (
+        lambda: QuotientGraph(8, [(1, 3, SOLID)], (5,)),
+        ["n", "edges", "semiedges", "central", "_key", "extra"],
+    ),
+}
 
 
 class RefineBudget:
@@ -139,12 +155,30 @@ class TestConstruction:
         with pytest.raises(GraphError):
             graph_from_json(text)
 
-    @pytest.mark.parametrize("name", ["neighbors", "edges", "n", "_hash", "extra"])
-    def test_immutable_after_construction(self, name):
-        g = wreath(3)
-        with pytest.raises(AttributeError):
-            setattr(g, name, ())
-        assert g == wreath(3) and hash(g) == hash(wreath(3))
+    @pytest.mark.parametrize(
+        "kind, name", [(kind, name) for kind, (_, names) in VALUES.items() for name in names]
+    )
+    def test_immutable_after_construction(self, kind, name):
+        # deleting the last slot reopened every copy of the guard for
+        # assignment: `del g._hash; g.n = 99` changed a Graph
+        make = VALUES[kind][0]
+        value = make()
+        for _ in range(2):
+            with pytest.raises(AttributeError, match=f"{kind} is immutable"):
+                setattr(value, name, ())
+            with pytest.raises(AttributeError, match=f"{kind} is immutable"):
+                delattr(value, name)
+        fresh = make()
+        assert value == fresh and hash(value) == hash(fresh)
+        assert all(getattr(value, slot) == getattr(fresh, slot) for slot in type(value).__slots__)
+
+    @pytest.mark.parametrize("kind", sorted(VALUES))
+    def test_copies_and_pickles_stay_frozen(self, kind):
+        value = VALUES[kind][0]()
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value) and type(twin) is type(value)
+            with pytest.raises(AttributeError, match="immutable"):
+                twin.n = 99
 
     @pytest.mark.parametrize("v", [-1, 6])
     def test_vertex_queries_out_of_range(self, v):

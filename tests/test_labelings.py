@@ -23,6 +23,7 @@ from magiclab.labelings import (
     is_self_reverse,
     label_graph,
     label_graph_from_json,
+    label_graph_to_json,
     label_set,
     labeling_from_json,
     labeling_to_json,
@@ -48,6 +49,12 @@ class TestLabelSet:
     def test_zero_order_rejected(self):
         with pytest.raises(LabelingError):
             label_set(0)
+
+    @pytest.mark.parametrize("n, kind", [(True, "bool"), (2.5, "float"), (3.0, "float"), ("3", "str")])
+    def test_order_is_an_exact_int(self, n, kind):
+        # label_set(True) returned (0,), and a float raised a bare TypeError
+        with pytest.raises(LabelingError, match=f"order must be int, got {kind}"):
+            label_set(n)
 
     def test_negation_closed(self):
         for n in range(1, 20):
@@ -125,12 +132,13 @@ class TestLabelingBasics:
             assert (c is None) == (l.n % 2 == 0)
             assert c is None or l.partners[c] == c
 
-    @pytest.mark.parametrize("name", ["partners", "labels", "n", "_pos", "extra"])
-    def test_immutable_after_construction(self, name):
-        l = Labeling([3, -1, 1, -3])
-        with pytest.raises(AttributeError):
-            setattr(l, name, ())
-        assert l.labels == (3, -1, 1, -3) and l.partners == (3, 2, 1, 0)
+    def test_vertex_of_a_missing_label(self):
+        # raised a bare KeyError
+        l = Labeling([1, -1])
+        for lab in (5, 0, 2):
+            with pytest.raises(LabelingError, match=f"carries label {lab}"):
+                l.vertex_of(lab)
+        assert (l.vertex_of(1), l.vertex_of(-1)) == (0, 1)
 
     def test_pair_partition(self):
         l = wreath_natural_labeling(3)
@@ -311,6 +319,22 @@ class TestLabelGraph:
     def test_json_integers_are_strict(self, text):
         with pytest.raises(LabelingError):
             label_graph_from_json(text)
+
+    @pytest.mark.parametrize("n, edges, kind", [
+        (4, [(True, 3), (-1, -3)], "bool"),
+        (4, [(1.0, 3), (-1, -3)], "float"),
+        (4, [(-1, 3), (-3, 1.0)], "float"),
+        (5, [(4, -4), (False, 2)], "bool"),
+        (True, [], "bool"),
+        (4.0, [(1, 3)], "float"),
+    ])
+    def test_labels_are_exact_ints(self, n, edges, kind):
+        # equal to labels of the set, but written as true or 1.0 they would
+        # not load back through label_graph_from_json
+        with pytest.raises(LabelingError, match=f"got {kind}"):
+            LabelGraph(n, edges)
+        exact = LabelGraph(int(n), [(int(a), int(b)) for a, b in edges])
+        assert label_graph_from_json(label_graph_to_json(exact)) == exact
 
 
 class TestBipartitionAndLinks:

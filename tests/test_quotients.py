@@ -45,13 +45,6 @@ class TestQuotientConstruction:
             (1, 7): DASHED, (3, 5): DASHED,
         }
 
-    @pytest.mark.parametrize("name", ["edges", "semiedges", "n", "central", "_key", "extra"])
-    def test_immutable_after_construction(self, name):
-        q = w4_quotient()
-        with pytest.raises(AttributeError):
-            setattr(q, name, ())
-        assert q == w4_quotient() and len(q.edges) == 6
-
     def test_degenerate_rejected(self):
         with pytest.raises(QuotientError):
             quotient(wreath(3), wreath_natural_labeling(3))

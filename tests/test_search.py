@@ -2,6 +2,7 @@ import functools
 import hashlib
 import random
 import time
+from enum import IntEnum
 from types import SimpleNamespace
 
 import pytest
@@ -28,7 +29,7 @@ from magiclab.labelings import (
     labeling_to_json,
     pairing_kernel,
 )
-from magiclab.merges import witness_non_wreath
+from magiclab.merges import MergeError, witness_non_wreath
 from magiclab.quotients import QuotientError, QuotientGraph, lift, quotient
 from magiclab.search import (
     EnumerationReport,
@@ -1016,7 +1017,7 @@ class TestTimeLimit:
                     {"thread_budget": True}, {"thread_budget": 1.5}, {"thread_budget": "2"},
                     {"thread_budget": None}, {"require_nondegenerate": "false"},
                     {"require_self_reverse": 1}, {"require_connected": None},
-                    {"require_nondegenerate": 0}):
+                    {"require_nondegenerate": 0}, {"valence": 4.0}, {"valence": "4"}):
             with pytest.raises(SearchError):
                 SearchOptions(**bad)
         assert SearchOptions(time_limit=2, thread_budget=3).time_limit == 2
@@ -1033,6 +1034,25 @@ class TestOrderType:
             next(iter_sr_pairs(bad, ND))
         with pytest.raises(SearchError, match=name):
             enumerate_dm(bad, DM)
+
+    def test_int_subclasses_rejected(self):
+        # an order or a count is exactly an int everywhere, as for Graph
+        # and Labeling; the search and merges entry points accepted these
+        class Order(IntEnum):
+            N = 16
+
+        calls = [
+            lambda: enumerate_sr(Order.N, ND),
+            lambda: enumerate_dm(Order.N, DM),
+            lambda: table1_report(Order.N, 17),
+            lambda: SearchOptions(thread_budget=Order.N),
+            lambda: find_labelings(wreath(4), max_results=Order.N),
+        ]
+        for call in calls:
+            with pytest.raises(SearchError, match="must be int, got Order"):
+                call()
+        with pytest.raises(MergeError, match="order must be int, got Order"):
+            witness_non_wreath(Order.N)
 
 
 class TestTable1:
