@@ -116,7 +116,10 @@ class Graph(Frozen):
         nbrs: list[set[int]] = [set() for _ in range(n)]
         try:
             for e in edges:
-                u, v = e
+                try:
+                    u, v = e
+                except (TypeError, ValueError):
+                    raise GraphError(f"edge {e!r} is not a pair of vertex ids") from None
                 if not (0 <= u < n and 0 <= v < n):
                     raise GraphError(f"edge ({u},{v}) has an endpoint outside 0..{n-1}")
                 if u == v:

@@ -57,6 +57,9 @@ class Labeling(Frozen):
         object.__setattr__(self, "_pos", pos)
 
     def label(self, v: int) -> int:
+        # the range guard keeps a negative v from indexing from the end
+        if not 0 <= v < self.n:
+            raise LabelingError(f"vertex {v} outside 0..{self.n - 1}")
         return self.labels[v]
 
     def vertex_of(self, lab: int) -> int:
@@ -67,6 +70,8 @@ class Labeling(Frozen):
 
     def partner(self, v: int) -> int:
         """The unique vertex whose label is the negation of v's label."""
+        if not 0 <= v < self.n:
+            raise LabelingError(f"vertex {v} outside 0..{self.n - 1}")
         return self.partners[v]
 
     def central_vertex(self) -> Optional[int]:
@@ -282,7 +287,10 @@ class LabelGraph(Frozen):
         valid = set(label_set(n))
         norm = set()
         for e in edges:
-            a, b = e
+            try:
+                a, b = e
+            except (TypeError, ValueError):
+                raise LabelingError(f"label edge {e!r} is not a pair of labels") from None
             if type(a) is not int or type(b) is not int:
                 # a bool or float label would reach the JSON output as true or 1.0
                 for x in (a, b):

@@ -55,7 +55,11 @@ class QuotientGraph(Frozen):
         central: bool = False,
     ):
         norm = []
-        for a, b, color in edges:
+        for e in edges:
+            try:
+                a, b, color = e
+            except (TypeError, ValueError):
+                raise QuotientError(f"edge {e!r} is not a (label, label, color) triple") from None
             a, b = exact(a, "label", QuotientError), exact(b, "label", QuotientError)
             norm.append((min(a, b), max(a, b), exact(color, "edge color", QuotientError, str)))
         n = exact(n, "order", QuotientError)

@@ -686,17 +686,12 @@ class _InvolutionSearch(_Backtracker):
     label graph.
 
     Cells are the sigma-orbits; each position gives one cell a magnitude and
-    an orientation, the sign of the label of the cell's first vertex.  A
-    neighbor cell joined by a straight matching contributes its oriented
-    magnitude, a crossed matching the negation; a full block or the central
-    cell contributes nothing and is left out of the neighbor lists.  A cell
-    adjacent to its own partner needs its oriented magnitude back (the
-    semiedge).  The positions take the cells in a fixed order: the cell
-    with the most assigned neighbors next, lowest index first, a rule that
-    never looks at magnitudes.  A candidate is kept when, with every open
-    neighbor taking at most the largest free magnitude, the cell and each of
-    its neighbors can still balance; signed balances are kept current on
-    apply and undo.
+    an orientation, the sign of the label of the cell's first vertex.  The
+    positions take the cells in a fixed order: the cell with the most
+    assigned neighbors next, lowest index first, a rule that never looks at
+    magnitudes.  Here a cell's neighbors are the other two-vertex cells
+    joined to it by a matching, straight or crossed; a full block, the
+    central cell and a semiedge do not count.
 
     The balances are linear in the labels (labelings.pairing_kernel): the
     labels of the cells form a kernel vector B c.  A cell whose row of B
@@ -706,9 +701,11 @@ class _InvolutionSearch(_Backtracker):
     drops a candidate that makes it no unused magnitude (not integral, 0,
     not a label, or taken by an assigned, forced or sibling cell) and holds
     the magnitude otherwise, and the cell's own position tries only its
-    forced label.  A dropped subtree holds no labeling, so the emissions
-    are those of the search without this; with no kernel (pairing_kernel
-    None) the search emits nothing.
+    forced label.  A free cell tries every magnitude not held.  So a
+    complete assignment is a kernel vector with distinct nonzero
+    magnitudes: every vertex balances and the labels are the label set,
+    which makes it a labeling.  A dropped subtree holds no labeling; with
+    no kernel (pairing_kernel None) the search emits nothing.
 
     Labelings l and l . alpha, for alpha in the centralizer C of sigma in
     Aut(g) (filtered from group, the listed Aut(g)), have partner map sigma
@@ -727,14 +724,11 @@ class _InvolutionSearch(_Backtracker):
     positions before t, and u is either in a later cell, which must then
     take a smaller magnitude than w_t's, or sigma(w_t), and w_t's
     orientation is then +1.  The first orientation is pinned that way
-    (sigma is in C), and so is a free cell, one with no neighbor list: its
-    two vertices are twins, swapped by a member of H_t.
+    (sigma is in C), and so is a cell with no neighbors: its two vertices
+    are twins, swapped by a member of H_t.
     """
 
-    __slots__ = (
-        "n", "cells", "neigh", "semi", "mags", "used", "held", "mag", "orient", "bal", "acc",
-        "terms", "order", "plan",
-    )
+    __slots__ = ("n", "cells", "mags", "held", "mag", "orient", "acc", "terms", "order", "plan")
 
     def __init__(
         self, g: Graph, sigma, group: list[tuple[int, ...]], deadline: Optional[float] = None
@@ -747,26 +741,18 @@ class _InvolutionSearch(_Backtracker):
         for i, cell in enumerate(self.cells):
             for v in cell:
                 cell_of[v] = i
-        # neigh[i]: (j, t) for each cell j matched to cell i, t = +1 straight
-        # and -1 crossed
-        self.neigh: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-        self.semi = [False] * k
+        # neigh[i]: each two-vertex cell j != i matched to cell i
+        neigh: list[list[int]] = []
         for i, cell in enumerate(self.cells):
-            hits: dict[int, list[int]] = {}
+            hits: dict[int, int] = {}
             for x in g.neighbors[cell[0]]:
-                hits.setdefault(cell_of[x], []).append(x)
-            for j, members in hits.items():
-                if j == i:
-                    self.semi[i] = True
-                elif len(members) == 1 and len(self.cells[j]) == 2:
-                    self.neigh[i].append((j, 1 if members[0] == self.cells[j][0] else -1))
+                hits[cell_of[x]] = hits.get(cell_of[x], 0) + 1
+            neigh.append([j for j, h in hits.items() if j != i and h == 1 and len(self.cells[j]) == 2])
         self.mags = [lab for lab in label_set(n) if lab > 0][::-1]
         m = len(self.mags)
         super().__init__(m, deadline)
-        self.used = [False] * n
         self.mag = [0] * k
         self.orient = [0] * k
-        self.bal = [0] * k
         # the central cell is assigned from the start and in no neighbor list
         pos = [-1 if len(cell) == 1 else m for cell in self.cells]
         done = [0] * k  # assigned neighbors
@@ -775,12 +761,8 @@ class _InvolutionSearch(_Backtracker):
             i = min((c for c in range(k) if pos[c] == m), key=lambda c: (-done[c], c))
             pos[i] = p
             self.order.append(i)
-            for j, _ in self.neigh[i]:
+            for j in neigh[i]:
                 done[j] += 1
-
-        def open_after(j: int, p: int) -> int:
-            return sum(pos[c] > p for c, _ in self.neigh[j])
-
         # the lex-leader constraints along the stabilizer chain of C
         below: list[set[int]] = [set() for _ in range(m)]  # cells to stay under
         turn = [False] * m  # orientation +1 only
@@ -817,18 +799,12 @@ class _InvolutionSearch(_Backtracker):
                         self.terms[self.order[p]].append((j, c))
                     last = max(coeffs)
                     fixes[last].append((j, coeffs[last], den[q]))
-        # plan[p]: cell i's neighbors as (j, t, assigned, open slots once
-        # position p is complete, the semiedge counted if j is unassigned),
-        # i's own open slots, the cells to stay under, the orientations, the
-        # forced cells p completes and i's denominator if i is forced, else 0
-        self.plan = []
-        for p, i in enumerate(self.order):
-            nbrs = [
-                (j, t, pos[j] < p, open_after(j, p) + (pos[j] > p and self.semi[j]))
-                for j, t in self.neigh[i]
-            ]
-            orients = (1,) if turn[p] else (1, -1)
-            self.plan.append((nbrs, open_after(i, p), tuple(below[p]), orients, fixes[p], den[p]))
+        # plan[p]: the cells to stay under, the orientations, the forced
+        # cells p completes and the denominator of p's cell if it is
+        # forced, else 0
+        self.plan = [
+            (tuple(below[p]), (1,) if turn[p] else (1, -1), fixes[p], den[p]) for p in range(m)
+        ]
 
     def _snapshot(self) -> Labeling:
         labels = [0] * self.n
@@ -843,76 +819,43 @@ class _InvolutionSearch(_Backtracker):
         i = self.order[p]
         self.mag[i] = a
         self.orient[i] = o
-        self.used[a] = True
         for b in hold:
             self.held[b] = True
-        for j, t in self.neigh[i]:
-            self.bal[j] += t * o * a
         for j, c in self.terms[i]:
             self.acc[j] += c * o * a
 
     def _undo(self, p: int, choice):
         a, o, hold = choice
-        i = self.order[p]
-        self.used[a] = False
         for b in hold:
             self.held[b] = False
-        for j, t in self.neigh[i]:
-            self.bal[j] -= t * o * a
-        for j, c in self.terms[i]:
+        for j, c in self.terms[self.order[p]]:
             self.acc[j] -= c * o * a
 
     def _choices(self, p: int) -> list[tuple[int, int, tuple]]:
         """All (magnitude, orientation, magnitudes to hold) for position p's
-        cell that keep the lex-leader constraints, leave each forced cell an
-        unused magnitude and after which the cell and its neighbors can
-        still balance, in search order."""
-        cell_nbrs, r, below, orients, fixes, den = self.plan[p]
+        cell that keep the lex-leader constraints and leave each forced cell
+        an unused magnitude, in search order."""
+        below, orients, fixes, den = self.plan[p]
         i = self.order[p]
-        semi, mag, orient, bal, acc, held = (
-            self.semi, self.mag, self.orient, self.bal, self.acc, self.held,
-        )
-        # once cell i takes the signed magnitude s, neighbor j with r open
-        # slots still balances iff |c0 - c1 * s| <= r * (largest free
-        # magnitude); an unassigned neighbor may spend a slot on its semiedge
-        nbrs = []
-        for j, t, assigned, rj in cell_nbrs:
-            if assigned:
-                o = orient[j]
-                want = mag[j] if semi[j] else 0
-                nbrs.append((want - o * bal[j], o * t, rj))
-            else:
-                nbrs.append((-bal[j], t, rj))
-        cap = min([mag[c] for c in below], default=self.n)
-        avail = [a for a in self.mags if not self.used[a]] + [0]
-        # (magnitude, the largest left after it, orientations)
+        acc, held = self.acc, self.held
+        cap = min([self.mag[c] for c in below], default=self.n)
         if den:
             a, o = abs(acc[i]) // den, 1 if acc[i] > 0 else -1
-            tries = [(a, avail[avail[0] == a], (o,))] if a <= cap and o in orients else []
+            tries = [(a, (o,))] if a <= cap and o in orients else []
         else:
-            tries = [
-                (a, avail[ai == 0], orients)
-                for ai, a in enumerate(avail[:-1]) if a <= cap and not held[a]
-            ]
+            tries = [(a, orients) for a in self.mags if a <= cap and not held[a]]
         out = []
-        for a, nxt, signs in tries:
+        for a, signs in tries:
             for o in signs:
-                if abs((a if semi[i] else 0) - o * bal[i]) > r * nxt:
-                    continue
-                s = o * a
-                for c0, c1, rj in nbrs:
-                    if abs(c0 - c1 * s) > rj * nxt:
+                hold = [] if den else [a]
+                for j, c, d in fixes:
+                    t = acc[j] + c * o * a
+                    b = abs(t) // d
+                    if t % d or b >= self.n or held[b] or b in hold:
                         break
+                    hold.append(b)
                 else:
-                    hold = [] if den else [a]
-                    for j, c, d in fixes:
-                        t = acc[j] + c * s
-                        b = abs(t) // d
-                        if t % d or b >= self.n or held[b] or b in hold:
-                            break
-                        hold.append(b)
-                    else:
-                        out.append((a, o, tuple(hold)))
+                    out.append((a, o, tuple(hold)))
         return out
 
 

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 import time
 from functools import lru_cache
 from itertools import combinations, islice, permutations
@@ -109,6 +110,12 @@ class TestConstruction:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError):
             new_graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5], ids=["triple", "single", "int"])
+    def test_non_pair_edge_named(self, edge):
+        # the triple and the single escaped as a bare ValueError
+        with pytest.raises(GraphError, match=rf"edge {re.escape(repr(edge))} is not a pair"):
+            Graph(3, [(1, 2), edge])
 
     def test_duplicate_edges_collapse(self):
         g = new_graph(2, [(0, 1), (1, 0), (0, 1)])

@@ -1,4 +1,5 @@
 from collections import Counter
+import re
 
 import pytest
 
@@ -69,6 +70,17 @@ class TestLabelingBasics:
             Labeling([1, 1, -3, 3])
         with pytest.raises(LabelingError):
             Labeling([0, 2, -2, 4])  # wrong parity for n=4
+
+    @pytest.mark.parametrize("v", [-1, -4, 4])
+    def test_vertex_out_of_range(self, v):
+        # a negative vertex indexed from the end: label(-1) gave -3 and
+        # partner(-1) gave 0
+        l = Labeling([3, -1, 1, -3])
+        for query in (l.label, l.partner):
+            with pytest.raises(LabelingError, match=f"vertex {v} outside 0..3"):
+                query(v)
+        assert [l.label(v) for v in range(4)] == [3, -1, 1, -3]
+        assert [l.partner(v) for v in range(4)] == [3, 2, 1, 0]
 
     def test_to_classical(self):
         l = Labeling([-3, -1, 1, 3])
@@ -335,6 +347,12 @@ class TestLabelGraph:
             LabelGraph(n, edges)
         exact = LabelGraph(int(n), [(int(a), int(b)) for a, b in edges])
         assert label_graph_from_json(label_graph_to_json(exact)) == exact
+
+    @pytest.mark.parametrize("edge", [(1, 3, -1), (1,), 5], ids=["triple", "single", "int"])
+    def test_non_pair_edge_named(self, edge):
+        # the triple escaped as a bare ValueError and the int as a TypeError
+        with pytest.raises(LabelingError, match=rf"label edge {re.escape(repr(edge))} is not a pair"):
+            LabelGraph(4, [(-3, 1), edge])
 
 
 class TestBipartitionAndLinks:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from magiclab.families import wreath, wreath_natural_labeling, wreath_nondegenerate_labeling
@@ -78,6 +80,12 @@ class TestQuotientConstruction:
     def test_arguments_are_not_coerced(self, args, named):
         with pytest.raises(QuotientError, match=named):
             QuotientGraph(*args)
+
+    @pytest.mark.parametrize("edge", [(1, 3), (1, 3, SOLID, 5), 5], ids=["pair", "quad", "int"])
+    def test_non_triple_edge_named(self, edge):
+        # the pair escaped as a bare ValueError and the int as a TypeError
+        with pytest.raises(QuotientError, match=rf"edge {re.escape(repr(edge))} is not a \(label"):
+            QuotientGraph(8, [(1, 5, SOLID), edge])
 
     # one input per structural invariant that validate checks before degrees
     @pytest.mark.parametrize("args, named", [

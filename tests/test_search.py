@@ -891,16 +891,20 @@ class TestFixedGraphStreams:
                 h.update(labeling_to_json(l).encode() + b"\n")
         assert h.hexdigest() == self.DIGESTS[name, seed, mode]
 
-    # _InvolutionSearch nodes over every partner map, as (before, after)
-    # the search forced the cells its balance system fixes; a partner map
-    # without a kernel takes one node
+    # _InvolutionSearch nodes over every partner map: before the search
+    # forced the cells its balance system fixes, with that forcing beside
+    # the older interval test (each cell and neighbor can still balance with
+    # the largest free magnitude), and with the forcing alone.  The forcing
+    # prunes nearly every subtree the interval test did, so dropping the
+    # test costs a few nodes and no emission; a partner map without a
+    # kernel takes one node
     NODES = {
-        ("wreath5", None): (101, 67),
-        ("wreath5", 7): (77, 42),
-        ("cc35", None): (78, 1),
-        ("cc35", 7): (146, 1),
-        ("wnw18", None): (175_918, 4_391),
-        ("wnw18", 7): (68_647, 2_903),
+        ("wreath5", None): (101, 67, 67),
+        ("wreath5", 7): (77, 42, 42),
+        ("cc35", None): (78, 1, 1),
+        ("cc35", 7): (146, 1, 1),
+        ("wnw18", None): (175_918, 4_391, 4_477),
+        ("wnw18", 7): (68_647, 2_903, 2_906),
     }
 
     @pytest.mark.parametrize("name, seed", sorted(NODES, key=str))
@@ -913,9 +917,9 @@ class TestFixedGraphStreams:
             for _ in s.run():
                 pass
             nodes += s.nodes
-        assert nodes == self.NODES[name, seed][1]
+        assert nodes == self.NODES[name, seed][-1]
 
-    @pytest.mark.parametrize(
+    SR_GRAPHS = pytest.mark.parametrize(
         "make, seed",
         [
             (lambda: wreath(5), None),
@@ -925,6 +929,22 @@ class TestFixedGraphStreams:
         ],
         ids=["wreath5", "wreath6", "cc36-7", "wnw18"],
     )
+
+    @SR_GRAPHS
+    def test_every_emission_is_a_labeling_with_partner_map_sigma(self, make, seed):
+        # the search tests no balance itself: a complete assignment is a
+        # kernel vector of the balance system with distinct magnitudes
+        g = renumbered(make(), seed)
+        group = automorphism_group(g)
+        emitted = 0
+        for sigma in _involutions_with_pairing(g, group):
+            for l in _InvolutionSearch(g, sigma, group).run():
+                assert is_distance_magic(g, l)
+                assert l.partners == tuple(sigma)
+                emitted += 1
+        assert emitted > 0
+
+    @SR_GRAPHS
     def test_one_labeling_per_label_graph(self, make, seed):
         # labelings with one partner map and one label graph differ by a
         # member of the partner map's centralizer, so each involution search
