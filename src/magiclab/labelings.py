@@ -213,6 +213,32 @@ def linear_dependencies(vectors: Sequence[Sequence[int]]) -> list:
     return out
 
 
+def _kernel_rows(cols: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The rows of an integer matrix B whose columns are a kernel basis of
+    the square matrix M with columns cols: one basis vector per column that
+    depends on the columns before it (linear_dependencies), so M x = 0
+    exactly when x = B c for some rational c."""
+    k = len(cols)
+    basis = []
+    for j, dep in enumerate(linear_dependencies(cols)):
+        if dep is not None:
+            x = [0] * k
+            for q, c in dep[0].items():
+                x[q] = -c
+            x[j] = dep[1]
+            basis.append(x)
+    return [tuple(x[i] for x in basis) for i in range(k)]
+
+
+def adjacency_kernel(g: Graph) -> list[tuple[int, ...]]:
+    """One integer row per vertex of g, such that the label vectors that
+    balance every vertex (each neighbor sum 0) are the B c over rational c,
+    B the matrix of these rows: the kernel of the adjacency matrix.  With
+    nullity 0 every row is empty, and only the zero vector balances."""
+    # the adjacency matrix is symmetric: its columns are its rows
+    return _kernel_rows([[int(u in nb) for u in range(g.n)] for nb in g.neighbors])
+
+
 def pairing_kernel(g: Graph, part: Sequence[int]) -> Optional[list[tuple[int, ...]]]:
     """The balance equations of the labelings of g whose partner map is
     part, solved: one integer row per pair (u, part[u]), u < part[u], by u,
@@ -238,15 +264,7 @@ def pairing_kernel(g: Graph, part: Sequence[int]) -> Optional[list[tuple[int, ..
         for v in g.neighbors[u]:
             if part[v] != v:
                 cols[index[v]][i] += 1 if v < part[v] else -1
-    basis = []
-    for j, dep in enumerate(linear_dependencies(cols)):
-        if dep is not None:
-            x = [0] * k
-            for q, c in dep[0].items():
-                x[q] = -c
-            x[j] = dep[1]
-            basis.append(x)
-    rows = [tuple(x[i] for x in basis) for i in range(k)]
+    rows = _kernel_rows(cols)
     seen: set[tuple[int, ...]] = set()
     for row in rows:
         if not any(row) or row in seen:
@@ -339,6 +357,15 @@ def label_graph(g: Graph, l: Labeling) -> LabelGraph:
     _check_same_order(g, l)
     labels = l.labels
     return LabelGraph(g.n, [(labels[u], labels[v]) for u, v in g.edges()])
+
+
+def _label_graph_key(n: int, edges: Sequence[tuple[int, int]], labels: Sequence[int]) -> tuple:
+    """label_graph(g, l).sort_key() for g of order n with edge list edges
+    and l with these labels, read off the labels without building or
+    checking the LabelGraph: edges of a simple graph give distinct pairs."""
+    return (n, tuple(sorted([
+        (a, b) if (a := labels[u]) < (b := labels[v]) else (b, a) for u, v in edges
+    ])))
 
 
 def are_equivalent(g1: Graph, l1: Labeling, g2: Graph, l2: Labeling) -> bool:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, permutations
+from math import gcd
 from typing import Iterator, Optional
 
 from . import graphs as _graphs
@@ -50,10 +51,11 @@ from .labelings import (
     Labeling,
     _ascending_labeling,
     _ascending_pair,
+    _label_graph_key,
+    adjacency_kernel,
     is_degenerate,
     is_distance_magic,
     is_self_reverse,
-    label_graph,
     label_set,
     linear_dependencies,
     pairing_is_degenerate,
@@ -642,7 +644,9 @@ def enumerate_dm(
 # -- labelings of a fixed graph ------------------------------------------------
 
 
-def _involutions_with_pairing(g: Graph, group: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _involutions_with_pairing(
+    g: Graph, group: list[tuple[int, ...]], deadline: Optional[float] = None
+) -> list[tuple[int, ...]]:
     """One candidate partner map per Aut(g)-conjugacy class, in the order of
     group, the sorted automorphism_group(g): the first of each class of
     involutory automorphisms with no fixed point (even order) or exactly one
@@ -654,13 +658,14 @@ def _involutions_with_pairing(g: Graph, group: list[tuple[int, ...]]) -> list[tu
     graph its conjugates would, before any of them, and dropping the
     conjugates keeps the order in which label graphs first appear.  Classes
     are closed under conjugation by the generators of Aut(g), not by the
-    listed group.
+    listed group.  The deadline is checked once per element of group.
     """
     want_fixed = g.n % 2
     gens = _graphs._aut_generators(g)
     seen: set[tuple[int, ...]] = set()
     out = []
     for perm in group:
+        _check_deadline(deadline)
         if perm in seen or any(perm[perm[v]] != v for v in range(g.n)):
             continue
         if sum(1 for v in range(g.n) if perm[v] == v) != want_fixed:
@@ -766,7 +771,11 @@ class _InvolutionSearch(_Backtracker):
         # the lex-leader constraints along the stabilizer chain of C
         below: list[set[int]] = [set() for _ in range(m)]  # cells to stay under
         turn = [False] * m  # orientation +1 only
-        stab = [a for a in group if all(a[sigma[v]] == sigma[a[v]] for v in range(n))]
+        stab = []
+        for a in group:
+            _check_deadline(deadline)
+            if all(a[sigma[v]] == sigma[a[v]] for v in range(n)):
+                stab.append(a)
         for t, i in enumerate(self.order):
             if len(stab) == 1:
                 break
@@ -876,9 +885,20 @@ class _PlacementSearch(_Backtracker):
     the search state, so the subtree placing on v relabels the subtree
     placing on u, which comes first, and emits no new label graph.  The
     order in which label graphs first appear in the stream is unchanged.
+
+    A labeling is a kernel vector B c of the adjacency matrix
+    (labelings.adjacency_kernel).  res[p][w], for w unplaced before
+    position p, is (s, o, *r), coprime with s > 0: s * label(w) = o + r . c.
+    A placement pivots on its vertex's residual to eliminate that column on
+    level p + 1, which leaves level p for the undo.  A vertex whose r
+    vanishes is forced to o / s; fixed[p] maps forced labels to vertices,
+    None when one is no integer or no free label (placed or forced).  A
+    forced label goes on its vertex only, other labels on unforced ones.
+    Only empty subtrees go, and e_u - e_w is a kernel vector for twins u, w
+    (neither is forced while both are free), so the stream is unchanged.
     """
 
-    __slots__ = ("g", "order", "assign", "ssum", "open_nb", "prev_twin")
+    __slots__ = ("g", "order", "assign", "ssum", "open_nb", "prev_twin", "rank", "res", "fixed")
 
     def __init__(self, g: Graph, deadline: Optional[float] = None):
         self.g = g
@@ -892,6 +912,10 @@ class _PlacementSearch(_Backtracker):
         for cls in _graphs._twin_classes(g):
             for u, v in zip(cls, cls[1:]):
                 self.prev_twin[v] = u
+        self.rank = {lab: p for p, lab in enumerate(self.order)}
+        self.res = [[(1, 0, *r) for r in adjacency_kernel(g)]] + [None] * g.n
+        zero = [w for w, e in enumerate(self.res[0]) if not any(e[2:])]  # forced to 0
+        self.fixed = [None if len(zero) > g.n % 2 else {0: w for w in zero}] + [None] * g.n
 
     def _snapshot(self) -> Labeling:
         return Labeling(self.assign)
@@ -902,6 +926,24 @@ class _PlacementSearch(_Backtracker):
         for u in self.g.neighbors[v]:
             self.ssum[u] += lab
             self.open_nb[u] -= 1
+        res, fixed = self.res[p], self.fixed[p]
+        s, o, *r = res[v]
+        if any(r):  # else v was forced, and its stale entries do no harm
+            res, fixed = res[:], dict(fixed)
+            res[v] = None
+            j, y = next((i, a) for i, a in enumerate(r, 2) if a)  # the pivot piv[j]
+            piv = (0, o - s * lab, *r)  # r . c = s * lab - o
+            for w, e in enumerate(res):
+                if e is not None and (x := e[j]):
+                    e = [y * a - x * b for a, b in zip(e, piv)]
+                    d = gcd(*e) if e[0] > 0 else -gcd(*e)
+                    res[w] = e = tuple([a // d for a in e])
+                    if not any(e[2:]):  # forced to e[1] / e[0]
+                        if e[0] != 1 or self.rank.get(e[1], -1) <= p or e[1] in fixed:
+                            fixed = None
+                            break
+                        fixed[e[1]] = w
+        self.res[p + 1], self.fixed[p + 1] = res, fixed
 
     def _undo(self, p: int, v: int):
         lab = self.order[p]
@@ -912,6 +954,8 @@ class _PlacementSearch(_Backtracker):
 
     def _choices(self, p: int) -> list[int]:
         g, assign, ssum, open_nb = self.g, self.assign, self.ssum, self.open_nb
+        if (fixed := self.fixed[p]) is None:
+            return []
         lab = self.order[p]
         nxt = abs(self.order[p + 1]) if p + 1 < self.m else 0
         if p == 0:
@@ -922,6 +966,8 @@ class _PlacementSearch(_Backtracker):
                 v for v in range(g.n)
                 if assign[v] is None and (twin[v] is None or assign[twin[v]] is not None)
             ]
+        w = fixed.get(lab)
+        cand = [v for v in cand if v == w or w is None and v not in fixed.values()]
         out = []
         for v in cand:
             if abs(ssum[v]) > open_nb[v] * nxt:
@@ -948,18 +994,20 @@ def find_labelings(
     involution's centralizer and the subtrees where the linear balance
     system leaves a forced pair no unused magnitude.  An involution whose
     balance system forces a label 0 or one magnitude on two pairs
-    (pairing_kernel) is not searched, nor, with the non-degenerate flag,
-    one whose pairs alone make a labeling degenerate.  Otherwise it is a
-    direct exhaustive placement that skips branches that only swap twin
-    vertices.  What the searches skip holds no labeling, repeats label
-    graphs already emitted earlier in the stream or fails the flags, so
-    the order in which label graphs first appear, and with it
-    the representative of each, is that of the search over every involution
-    and every relabeling.  An optional cap (an int, at least 1) stops after
-    that many distinct classes, which makes existence checks cheap; it
-    returns the first classes in that order.  With the connectivity flag a
-    disconnected g has no labelings.  A configured time limit raises
-    SearchTimeLimit rather than returning a silently incomplete list.
+    (pairing_kernel) is not searched, nor, with the non-degenerate flag, one
+    whose pairs alone make a labeling degenerate.  Otherwise it is a direct
+    exhaustive placement that skips branches that only swap twin vertices,
+    and subtrees where the adjacency kernel forces a label that is not free.
+    Raw labelings are keyed by label graph, read off their labels over g's
+    edges.  What the searches skip holds no labeling, repeats label graphs
+    already emitted earlier in the stream or fails the flags, so the order
+    in which label graphs first appear, and with it the representative of
+    each, is that of the search over every involution and every relabeling.
+    An optional cap (an int, at least 1) stops after that many distinct
+    classes, which makes existence checks cheap; it returns the first
+    classes in that order.  With the connectivity flag a disconnected g has
+    no labelings.  A configured time limit raises SearchTimeLimit rather
+    than returning a silently incomplete list.
     """
     if not g.is_regular(4):
         raise SearchError("labeling search supports tetravalent graphs only")
@@ -970,7 +1018,7 @@ def find_labelings(
     deadline = _deadline(opts)
     if opts.require_self_reverse:
         group = _graphs.automorphism_group(g)
-        sigmas = _involutions_with_pairing(g, group)
+        sigmas = _involutions_with_pairing(g, group, deadline)
         if opts.require_nondegenerate:
             # every labeling with such a partner map is degenerate
             sigmas = [s for s in sigmas if not pairing_is_degenerate(g, s)]
@@ -982,8 +1030,9 @@ def find_labelings(
     # the predicates depend on the label graph only, and only the placement
     # stream repeats label graphs, so only classes found are remembered
     found: dict[tuple, Labeling] = {}
+    edges = g.edges()
     for l in chain.from_iterable(search.run() for search in searches):
-        key = label_graph(g, l).sort_key()
+        key = _label_graph_key(g.n, edges, l.labels)
         if key not in found and _labeling_ok(g, l, opts):
             found[key] = l
             if len(found) == max_results:

@@ -21,6 +21,8 @@ from magiclab.graphs import (
 )
 from magiclab.labelings import (
     _ascending_pair,
+    _label_graph_key,
+    adjacency_kernel,
     is_degenerate,
     is_distance_magic,
     is_self_reverse,
@@ -512,6 +514,12 @@ class TestFindLabelings:
         k5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
         assert find_labelings(k5, SearchOptions(require_self_reverse=False)) == []
 
+    def test_cc44_has_no_labelings(self):
+        # it is vertex-transitive, and after its one first placement the
+        # kernel of its adjacency matrix forces a label that is not free:
+        # the placement search ends after 2 nodes
+        assert find_labelings(cartesian_cycles(4, 4)) == []
+
     def test_wreath3_unique_class(self):
         labs = find_labelings(wreath(3), SearchOptions(require_self_reverse=False))
         assert len(labs) == 1
@@ -873,7 +881,9 @@ class TestFixedGraphStreams:
     }
     GRAPHS = {
         "wreath5": lambda: wreath(5),
+        "wreath6": lambda: wreath(6),
         "cc35": lambda: cartesian_cycles(3, 5),
+        "cc36": lambda: cartesian_cycles(3, 6),
         "wnw18": lambda: witness_non_wreath(18)[0],
     }
 
@@ -919,6 +929,64 @@ class TestFixedGraphStreams:
             nodes += s.nodes
         assert nodes == self.NODES[name, seed][-1]
 
+    # _PlacementSearch nodes: before the search forced the labels that the
+    # kernel of the adjacency matrix fixes, and with that forcing.  Neither
+    # depends on the numbering; cc35 has nullity 0, so its root is dead
+    PLACEMENT_NODES = {
+        "wreath5": (257, 107),
+        "wreath6": (1_432, 533),
+        "cc35": (10_290, 1),
+        "cc36": (298_103, 1_467),
+        "wnw18": (612_831, 2_933),
+    }
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("name", sorted(PLACEMENT_NODES))
+    def test_placement_nodes(self, name, seed):
+        s = _PlacementSearch(renumbered(self.GRAPHS[name](), seed))
+        for _ in s.run():
+            pass
+        assert s.nodes == self.PLACEMENT_NODES[name][-1]
+
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_nullity_zero_takes_one_node(self, k):
+        # only the zero vector balances every vertex, so no labeling exists
+        g = cartesian_cycles(3, k)
+        assert set(adjacency_kernel(g)) == {()}
+        s = _PlacementSearch(g)
+        assert list(s.run()) == [] and s.nodes == 1
+
+    def test_wnw21_placement_stream(self):
+        # the whole stream: 8 labelings, the first 8 of the search without
+        # the forcing, which needed 3,739,285 nodes to reach them; sha256 as
+        # in DIGESTS
+        s = _PlacementSearch(witness_non_wreath(21)[0])
+        h = hashlib.sha256()
+        emitted = 0
+        for l in s.run():
+            h.update(labeling_to_json(l).encode() + b"\n")
+            emitted += 1
+        assert emitted == 8
+        assert h.hexdigest() == "a6ca14bb35263ad3d99e62a03525e3890fbf97b47093dfd7c3184d9a2f5668b9"
+
+    @pytest.mark.parametrize(
+        "make, seed",
+        [(lambda: wreath(6), None), (lambda: witness_non_wreath(18)[0], 7)],
+        ids=["wreath6", "wnw18-7"],
+    )
+    def test_class_key_is_label_graph_key(self, make, seed):
+        # find_labelings keys each raw labeling without building its
+        # LabelGraph; the key must be the LabelGraph's, on both searches
+        g = renumbered(make(), seed)
+        group = automorphism_group(g)
+        searches = [_PlacementSearch(g)]
+        searches += [_InvolutionSearch(g, s, group) for s in _involutions_with_pairing(g, group)]
+        edges = g.edges()
+        raw = [l for search in searches for l in search.run()]
+        assert raw
+        for l in raw:
+            assert _label_graph_key(g.n, edges, l.labels) == label_graph(g, l).sort_key()
+
     SR_GRAPHS = pytest.mark.parametrize(
         "make, seed",
         [
@@ -959,6 +1027,17 @@ class TestFixedGraphStreams:
         assert union == {lg_edges(g, l) for l in find_labelings(g, SR)}
 
 
+class TestOddWitnesses:
+    @pytest.mark.parametrize("n, classes", [(21, 7), (23, 8)])
+    def test_sr_classes_among_dm_classes(self, n, classes):
+        # odd orders carry label 0; both searches find every class here
+        g, _ = witness_non_wreath(n)
+        sr = {lg_edges(g, l) for l in find_labelings(g, SR)}
+        dm = {lg_edges(g, l) for l in find_labelings(g, DM)}
+        assert len(sr) == len(dm) == classes
+        assert sr <= dm
+
+
 class TestLazyStream:
     def test_prefix_of_full_run(self):
         stream = iter_sr_pairs(12, SearchOptions(require_nondegenerate=False))
@@ -987,11 +1066,11 @@ class TestTimeLimit:
         "make, flags",
         [
             (lambda: circulant(30, [1, 4, -1, -4]), {"require_self_reverse": True}),
-            # no twins and no classes: nothing is skipped, and the placement
-            # search runs about 1-2 s to the end
-            (lambda: cartesian_cycles(4, 4), {"require_self_reverse": False}),
+            # nullity 10 and thousands of raw labelings: the placement
+            # search runs for more than 10 s
+            (lambda: circulant(24, [1, 5, -1, -5]), {"require_self_reverse": False}),
         ],
-        ids=["circulant30-sr", "cc44-dm"],
+        ids=["circulant30-sr", "circulant24-dm"],
     )
     def test_fixed_graph_search_raises_promptly(self, make, flags):
         g = make()
@@ -1020,6 +1099,38 @@ class TestTimeLimit:
         assert len(pairs) == rep.sr_count == 136
         assert starts and max(starts) <= 102.5
         assert len(starts) < len(pairs)
+
+    def test_deadline_covers_partner_map_loops(self, monkeypatch):
+        # the fake clock advances 1 s per read, so a deadline 2.5 s ahead
+        # passes at the third read: the loops over the listed group, the
+        # one picking partner maps and the one filtering a centralizer,
+        # each check it per element and raise there
+        g = wreath(6)
+        group = automorphism_group(g)
+        sigma = _involutions_with_pairing(g, group)[0]
+        clock = [100.0]
+
+        def tick():
+            clock[0] += 1.0
+            return clock[0]
+
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=tick))
+        for loop in (
+            lambda deadline: _involutions_with_pairing(g, group, deadline),
+            lambda deadline: _InvolutionSearch(g, sigma, group, deadline),
+        ):
+            clock[0] = 100.0
+            with pytest.raises(SearchTimeLimit):
+                loop(102.5)
+            assert clock[0] == 103.0
+        # find_labelings reads the clock once for its deadline and then
+        # raises while picking partner maps, before building a search
+        built = []
+        monkeypatch.setattr(search, "_InvolutionSearch", lambda *args: built.append(args))
+        clock[0] = 100.0
+        with pytest.raises(SearchTimeLimit):
+            find_labelings(g, SearchOptions(require_self_reverse=True, time_limit=2.5))
+        assert clock[0] == 104.0 and built == []
 
     def test_nan_time_limit_rejected(self):
         # nan compares false with everything, so its deadline never passes
